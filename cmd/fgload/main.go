@@ -9,9 +9,11 @@
 //
 // Modes:
 //
-//	fgload                                  # in-process, cache on
-//	fgload -compare -out BENCH_serve.json   # cold (cache off) vs warm A/B
+//	fgload                                  # in-process server
 //	fgload -addr http://localhost:8080      # drive a running fgserved
+//
+// fgload is a correctness soak (coherence, cancellation, goroutine
+// drain), not a benchmark: performance is measured by benchmark/run.sh.
 //
 // The exit status is the gate load scripts rely on: nonzero when any
 // request failed at the transport, any response was a 5xx, or the
@@ -22,8 +24,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"strconv"
@@ -58,44 +58,19 @@ func fromStats(s servecache.Stats) cacheCounters {
 	}
 }
 
-func sub(a, b servecache.Stats) servecache.Stats {
-	return servecache.Stats{
-		Hits:          a.Hits - b.Hits,
-		Misses:        a.Misses - b.Misses,
-		Coalesced:     a.Coalesced - b.Coalesced,
-		Invalidations: a.Invalidations - b.Invalidations,
-		Evictions:     a.Evictions - b.Evictions,
-		Abandoned:     a.Abandoned - b.Abandoned,
-	}
-}
-
-// runOutput is one run's report plus, for in-process runs with the
-// cache enabled, the cache counters the run moved.
+// runOutput is one run's report plus, for in-process runs, the /select
+// response cache counters the run moved.
 type runOutput struct {
 	loadgen.Report
-	PredictCache *cacheCounters `json:"predictCache,omitempty"`
-	SelectCache  *cacheCounters `json:"selectCache,omitempty"`
+	SelectCache *cacheCounters `json:"selectCache,omitempty"`
 }
 
-// output is the fgload report schema (BENCH_serve.json in -compare
-// mode). SpeedupP50/SpeedupMean compare the cold (cache disabled) run
-// against the warm run on overall latency.
+// output is the fgload report schema.
 type output struct {
-	GoVersion   string     `json:"goVersion"`
-	Cores       int        `json:"cores"`
-	Mode        string     `json:"mode"`
-	Run         *runOutput `json:"run,omitempty"`
-	Cold        *runOutput `json:"cold,omitempty"`
-	Warm        *runOutput `json:"warm,omitempty"`
-	SpeedupP50  float64    `json:"speedupP50,omitempty"`
-	SpeedupMean float64    `json:"speedupMean,omitempty"`
-	// EndpointSpeedupMean breaks the cold/warm ratio down per endpoint:
-	// the cheap /predict arithmetic is dominated by HTTP overhead either
-	// way, while the ranking behind /select is where the cache pays.
-	EndpointSpeedupMean map[string]float64 `json:"endpointSpeedupMean,omitempty"`
-	// BatchAB is the -batch-ab measurement: N sequential singular calls
-	// versus one N-item batch call, both on a cold cache.
-	BatchAB *loadgen.BatchAB `json:"batchAB,omitempty"`
+	GoVersion string     `json:"goVersion"`
+	Cores     int        `json:"cores"`
+	Mode      string     `json:"mode"`
+	Run       *runOutput `json:"run"`
 }
 
 func main() {
@@ -108,8 +83,6 @@ func main() {
 		app       = flag.String("app", "kmeans", "application every request targets")
 		baseSize  = cliutil.Bytes("base-size", 64*units.MB, "mid-point dataset size; generated sizes span 0.5x..2x")
 		coherence = flag.Int("coherence-batches", 0, "drift-driven recalibration batches interleaved with the reads (asserts cache coherence)")
-		compare   = flag.Bool("compare", false, "A/B an in-process cold (cache disabled) run against a warm one and report the speedup")
-		batchAB   = flag.Int("batch-ab", 0, "measure N sequential singular calls vs one N-item batch call on a cold cache over a loopback listener (0 = off)")
 		out       = flag.String("out", "", "report file (empty = stdout)")
 
 		clientTimeout  = flag.Duration("client-timeout", 0, "per-op client deadline; expired ops count as timeouts, not plain transport errors (0 = unbounded)")
@@ -119,7 +92,7 @@ func main() {
 	flag.Parse()
 
 	// Baseline before any server or worker goroutines exist; the post-run
-	// check asserts abandoned requests did not strand handler goroutines.
+	// check asserts abandoned requests stranded nothing.
 	baselineGoroutines := runtime.NumGoroutine()
 
 	mix, err := loadgen.ParseMix(*mixFlag)
@@ -138,41 +111,14 @@ func main() {
 	}
 
 	rep := output{GoVersion: runtime.Version(), Cores: runtime.NumCPU()}
-	switch {
-	case *compare:
-		if *addr != "" {
-			fail(fmt.Errorf("-compare runs in-process; it cannot be combined with -addr"))
-		}
-		rep.Mode = "compare"
-		cold, err := runInProcess(opts, *conc, true)
-		if err != nil {
-			fail(err)
-		}
-		warm, err := runInProcess(opts, *conc, false)
-		if err != nil {
-			fail(err)
-		}
-		rep.Cold, rep.Warm = cold, warm
-		if warm.Overall.P50Ms > 0 {
-			rep.SpeedupP50 = cold.Overall.P50Ms / warm.Overall.P50Ms
-		}
-		if warm.Overall.MeanMs > 0 {
-			rep.SpeedupMean = cold.Overall.MeanMs / warm.Overall.MeanMs
-		}
-		rep.EndpointSpeedupMean = make(map[string]float64)
-		for path, c := range cold.Endpoints {
-			if w, ok := warm.Endpoints[path]; ok && w.MeanMs > 0 {
-				rep.EndpointSpeedupMean[path] = c.MeanMs / w.MeanMs
-			}
-		}
-	case *addr == "":
+	if *addr == "" {
 		rep.Mode = "in-process"
-		run, err := runInProcess(opts, *conc, false)
+		run, err := runInProcess(opts, *conc)
 		if err != nil {
 			fail(err)
 		}
 		rep.Run = run
-	default:
+	} else {
 		rep.Mode = "remote"
 		r := loadgen.New(loadgen.NewHTTPTarget(*addr, nil), opts)
 		report, err := r.Run()
@@ -180,17 +126,6 @@ func main() {
 			fail(err)
 		}
 		rep.Run = &runOutput{Report: report}
-	}
-
-	if *batchAB > 0 {
-		if *addr != "" {
-			fail(fmt.Errorf("-batch-ab manages its own servers; it cannot be combined with -addr"))
-		}
-		ab, err := loadgen.RunBatchAB(newLoopbackTarget, opts, *batchAB)
-		if err != nil {
-			fail(err)
-		}
-		rep.BatchAB = &ab
 	}
 
 	js, err := json.MarshalIndent(rep, "", "  ")
@@ -207,16 +142,8 @@ func main() {
 		fmt.Printf("fgload: %s report -> %s\n", rep.Mode, *out)
 	}
 
-	for _, r := range []*runOutput{rep.Run, rep.Cold, rep.Warm} {
-		if err := gate(r, *expectTimeouts); err != nil {
-			fail(err)
-		}
-	}
-	if ab := rep.BatchAB; ab != nil {
-		if ab.Predict.ItemErrors > 0 || ab.Select.ItemErrors > 0 {
-			fail(fmt.Errorf("batch A/B saw item errors: predict=%d select=%d",
-				ab.Predict.ItemErrors, ab.Select.ItemErrors))
-		}
+	if err := gate(rep.Run, *expectTimeouts); err != nil {
+		fail(err)
 	}
 	if *goroutineCheck {
 		if err := checkGoroutines(baselineGoroutines); err != nil {
@@ -226,13 +153,13 @@ func main() {
 }
 
 // checkGoroutines asserts the process drained back near its pre-run
-// goroutine count. Abandoned requests keep their handler goroutines
-// alive only until the handler notices ctx is done, so after a short
-// settle window anything still running is a leak: a handler stuck past
-// its deadline, a limiter slot never released, or a fill goroutine
-// nobody cancelled. The slack term covers runtime-internal goroutines
-// (GC workers, netpoller, timer goroutines) that scale with the
-// machine, not the workload.
+// goroutine count. Requests run on their callers' goroutines; what an
+// abandoned one can leave behind is a detached cache fill or profiling
+// run, which finishes on its own, so after a short settle window
+// anything still running is a leak: a worker stuck in a request past
+// its deadline or a fill goroutine nobody cancelled. The slack term
+// covers runtime-internal goroutines (GC workers, netpoller, timer
+// goroutines) that scale with the machine, not the workload.
 func checkGoroutines(baseline int) error {
 	limit := baseline + 2*runtime.GOMAXPROCS(0) + 8
 	deadline := time.Now().Add(5 * time.Second)
@@ -247,58 +174,25 @@ func checkGoroutines(baseline int) error {
 	return nil
 }
 
-// newLoopbackTarget stands up a fresh cold-cache server behind a real
-// loopback listener for one batch A/B side. Unlike the in-process
-// handler target, every sequential request here pays the transport the
-// batch plane amortizes — connection handling, HTTP framing, and a
-// request-scoped timeout goroutine — which is exactly the overhead a
-// caller fanning 64 singular calls at a deployed fgserved would pay.
-func newLoopbackTarget() (loadgen.Target, func(), error) {
-	srv, err := fgservice.New(fgservice.Options{MaxInFlight: 4})
-	if err != nil {
-		return nil, nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	hs := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	go func() { _ = hs.Serve(ln) }()
-	cleanup := func() { _ = hs.Close() }
-	return loadgen.NewHTTPTarget("http://"+ln.Addr().String(), nil), cleanup, nil
-}
-
-// runInProcess stands up a fresh server (cache on or off) and drives
-// the workload straight into its handler. MaxInFlight admits every
-// worker plus the coherence coordinator so the limiter never sheds the
-// harness's own load.
-func runInProcess(opts loadgen.Options, conc int, disableCache bool) (*runOutput, error) {
-	srv, err := fgservice.New(fgservice.Options{
-		DisableCache: disableCache,
-		MaxInFlight:  conc + 2,
-	})
+// runInProcess stands up a fresh server and drives the workload
+// straight into its handler. MaxInFlight admits every worker plus the
+// coherence coordinator so the limiter never sheds the harness's own
+// load.
+func runInProcess(opts loadgen.Options, conc int) (*runOutput, error) {
+	srv, err := fgservice.New(fgservice.Options{MaxInFlight: conc + 2})
 	if err != nil {
 		return nil, err
 	}
-	basePredict, baseSelect := srv.CacheStats()
 	r := loadgen.New(loadgen.NewHandlerTarget(srv.Handler()), opts)
 	report, err := r.Run()
 	if err != nil {
 		return nil, err
 	}
-	out := &runOutput{Report: report}
-	if !disableCache {
-		p, s := srv.CacheStats()
-		pc, sc := fromStats(sub(p, basePredict)), fromStats(sub(s, baseSelect))
-		out.PredictCache, out.SelectCache = &pc, &sc
-	}
-	return out, nil
+	// The process holds this one server, so the cache's process-wide
+	// counters are the run's own.
+	_, sel := srv.CacheStats()
+	sc := fromStats(sel)
+	return &runOutput{Report: report, SelectCache: &sc}, nil
 }
 
 // gate turns run-level failures into a nonzero exit: transport errors,
@@ -311,9 +205,6 @@ func runInProcess(opts loadgen.Options, conc int, disableCache bool) (*runOutput
 // answers pass, and only transport errors beyond the timeout count or
 // non-504 5xx statuses still trip the gate.
 func gate(r *runOutput, expectTimeouts bool) error {
-	if r == nil {
-		return nil
-	}
 	if hard := r.TransportErrors - r.TransportTimeouts; !expectTimeouts && r.TransportErrors > 0 {
 		return fmt.Errorf("%d requests failed at the transport", r.TransportErrors)
 	} else if hard > 0 {

@@ -4,28 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"strconv"
-	"time"
 
-	"freerideg/internal/apps"
 	"freerideg/internal/metrics"
 	"freerideg/internal/reqtrace"
-	"freerideg/internal/units"
 )
 
 // The batch serve plane: POST /predict/batch and /select/batch accept
-// up to MaxBatchItems requests in one HTTP exchange. The profile-store
-// snapshot version and estimator epoch are resolved once per batch, the
-// items fan across the server's persistent worker pool, and one
-// response array streams back. Each item still goes through the
-// versioned response cache individually, so a batch both benefits from
-// and fills the same cache the singular endpoints use.
+// up to MaxBatchItems requests in one HTTP exchange. Each is its
+// singular endpoint function lifted by batchOf: the items fan across
+// the server's persistent worker pool, every item runs exactly the code
+// (validation order, status codes, caches) the singular endpoint runs,
+// and one positional response array goes back.
 //
 // What a batch amortizes versus N sequential requests: N-1 HTTP
-// round-trips with their per-request handler stack (timeout handler,
-// instrumentation, concurrency limiter), N-1 body decodes and response
-// encodes, and N-1 snapshot-version resolutions.
+// round-trips with their per-request pipeline (ID, limiter, deadline
+// context, trace, metrics) and N-1 body decodes and response encodes.
 
 // MaxBatchItems bounds one batch request's item count. 256 items of the
 // largest legitimate item shape stay well under MaxRequestBody, and a
@@ -42,240 +36,119 @@ var (
 		"Batch items that answered with a per-item error.")
 )
 
-// PredictBatchRequest carries up to MaxBatchItems predict requests.
-type PredictBatchRequest struct {
-	Items []PredictRequest `json:"items"`
+// BatchRequest carries up to MaxBatchItems singular requests.
+type BatchRequest[Req any] struct {
+	Items []Req `json:"items"`
 }
 
-// PredictBatchItem is one item's outcome: exactly one of Response and
-// Error is set. Status mirrors the HTTP status the singular endpoint
-// would have answered with.
-type PredictBatchItem struct {
-	Response *PredictResponse `json:"response,omitempty"`
-	Error    *apiError        `json:"error,omitempty"`
+// BatchItem is one item's outcome: exactly one of Response and Error is
+// set. Error.Status is the HTTP status the singular endpoint would have
+// answered with.
+type BatchItem[Resp any] struct {
+	Response *Resp     `json:"response,omitempty"`
+	Error    *apiError `json:"error,omitempty"`
 }
 
-// PredictBatchResponse answers one batch. StoreVersion is the snapshot
-// version every item in the batch was served at.
-type PredictBatchResponse struct {
-	StoreVersion uint64             `json:"storeVersion"`
-	Items        []PredictBatchItem `json:"items"`
-}
-
-// SelectBatchRequest carries up to MaxBatchItems select requests.
-type SelectBatchRequest struct {
-	Items []SelectRequest `json:"items"`
-}
-
-// SelectBatchItem is one item's outcome (see PredictBatchItem).
-type SelectBatchItem struct {
-	Response *SelectResponse `json:"response,omitempty"`
-	Error    *apiError       `json:"error,omitempty"`
-}
-
-// SelectBatchResponse answers one batch.
-type SelectBatchResponse struct {
+// BatchResponse answers one batch, positionally. StoreVersion is the
+// snapshot version when the batch began; every item is served at that
+// version or a later one and carries its own.
+type BatchResponse[Resp any] struct {
 	StoreVersion uint64            `json:"storeVersion"`
-	Items        []SelectBatchItem `json:"items"`
+	Items        []BatchItem[Resp] `json:"items"`
 }
 
-// checkBatchSize validates the item count shared by both batch
-// endpoints.
-func checkBatchSize(n int) error {
-	switch {
-	case n == 0:
-		return errors.New("batch: items is empty")
-	case n > MaxBatchItems:
-		return fmt.Errorf("batch: %d items exceeds the limit of %d", n, MaxBatchItems)
-	}
-	return nil
-}
+// The wire types of the two batch endpoints.
+type (
+	PredictBatchRequest  = BatchRequest[PredictRequest]
+	PredictBatchItem     = BatchItem[PredictResponse]
+	PredictBatchResponse = BatchResponse[PredictResponse]
+	SelectBatchRequest   = BatchRequest[SelectRequest]
+	SelectBatchItem      = BatchItem[SelectResponse]
+	SelectBatchResponse  = BatchResponse[SelectResponse]
+)
 
 // itemError renders one item's failure the way the singular endpoint
 // would have: the same message with the same status code. Per-item
 // envelopes carry no requestId — the batch's single ID rides the
 // response header and identifies every item.
-func itemError(status int, err error) *apiError {
+func itemError(err error) *apiError {
 	batchItemErrors.Inc()
-	return &apiError{Error: err.Error(), Status: status}
+	return &apiError{Error: err.Error(), Status: errorStatus(err)}
 }
 
-// itemSpan opens one batch item's span under the request's handler span
-// and returns the derived context the item's cache/rank/simulate spans
-// nest under. finish annotates the span with the positional index and
-// the item's outcome ("i=3 ok", "i=7 status=404").
-func itemSpan(ctx context.Context, i int) (context.Context, func(errStatus int)) {
-	ictx, sp := reqtrace.StartSpan(ctx, "item")
-	if !sp.Traced() {
-		return ctx, func(int) {}
-	}
-	return ictx, func(errStatus int) {
-		note := "i=" + strconv.Itoa(i)
-		if errStatus != 0 {
-			note += " status=" + strconv.Itoa(errStatus)
-		} else {
-			note += " ok"
+// batchOf lifts a singular endpoint function to its batch form. Items
+// are claimed in index order by at most Options.BatchParallelism
+// workers; once ctx ends no further item is claimed. A batch that ctx
+// left with an unanswered item — never claimed, or given up on
+// mid-evaluation — fails as a whole with the ctx error, which endpoint
+// answers as the request's 499/504 envelope like any other cut-short
+// request. The positional response still comes back beside that error,
+// every item the batch never evaluated marked with a distinct per-item
+// 499 (departed client) or 504 (exhausted deadline), so a caller looking
+// at a partial batch never sees items that silently look like empty
+// successes. A batch whose every item completed succeeds even if ctx
+// ended meanwhile.
+func batchOf[Req, Resp any](s *Server, one func(context.Context, *Req) (Resp, error)) func(context.Context, *BatchRequest[Req]) (BatchResponse[Resp], error) {
+	return func(ctx context.Context, req *BatchRequest[Req]) (BatchResponse[Resp], error) {
+		n := len(req.Items)
+		switch {
+		case n == 0:
+			return BatchResponse[Resp]{}, badRequest(errors.New("batch: items is empty"))
+		case n > MaxBatchItems:
+			return BatchResponse[Resp]{}, badRequest(
+				fmt.Errorf("batch: %d items exceeds the limit of %d", n, MaxBatchItems))
 		}
-		sp.Annotate(note)
-		sp.End()
-	}
-}
-
-// sweepUnstarted marks every item the canceled batch never claimed with
-// a distinct per-item error (499 for a departed client, 504 for an
-// exhausted deadline), so a partial batch response never carries items
-// that silently look like empty successes. check reports whether item i
-// was evaluated; mark stores the error.
-func sweepUnstarted(ctx context.Context, n int, evaluated func(i int) bool, mark func(i int, e *apiError)) {
-	cause := ctx.Err()
-	if cause == nil {
-		return
-	}
-	err := fmt.Errorf("batch: item not evaluated: %w", cause)
-	status := errorStatus(cause)
-	for i := 0; i < n; i++ {
-		if !evaluated(i) {
-			mark(i, itemError(status, err))
+		batchRequests.Inc()
+		batchItems.Add(float64(n))
+		resp := BatchResponse[Resp]{
+			StoreVersion: s.store.Snapshot().Version(),
+			Items:        make([]BatchItem[Resp], n),
 		}
-	}
-}
-
-func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	var req PredictBatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := checkBatchSize(len(req.Items)); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	batchRequests.Inc()
-	batchItems.Add(float64(len(req.Items)))
-
-	// One snapshot resolution for the whole batch: every item is served
-	// (and cached) at this version.
-	ver := s.store.Snapshot().Version()
-	resp := PredictBatchResponse{
-		StoreVersion: ver,
-		Items:        make([]PredictBatchItem, len(req.Items)),
-	}
-	ctx := r.Context()
-	if err := s.batchPool.RunCtx(ctx, len(req.Items), s.opts.BatchParallelism, func(i int) {
-		ictx, finish := itemSpan(ctx, i)
-		resp.Items[i] = s.predictBatchItem(ictx, req.Items[i], ver)
-		if e := resp.Items[i].Error; e != nil {
-			finish(e.Status)
-		} else {
-			finish(0)
+		// A cut-short run shows below as ctx.Err() and unevaluated items.
+		_ = s.batchPool.RunCtx(ctx, n, s.opts.BatchParallelism, func(i int) {
+			item := &resp.Items[i]
+			// The item's own spans (cache, rank, simulate) nest under its
+			// "item" span, annotated with the positional index and the
+			// outcome ("i=3 ok", "i=7 status=404").
+			ictx, sp := reqtrace.StartSpan(ctx, "item")
+			// The pool may have claimed this index just as the request
+			// ended: answer the cancellation instead of computing an
+			// answer nobody reads.
+			err := ctx.Err()
+			if err == nil {
+				var out Resp
+				if out, err = one(ictx, &req.Items[i]); err == nil {
+					item.Response = &out
+				}
+			}
+			if err != nil {
+				item.Error = itemError(err)
+			}
+			if sp.Traced() {
+				outcome := "ok"
+				if err != nil {
+					outcome = "status=" + strconv.Itoa(item.Error.Status)
+				}
+				sp.Annotate("i=" + strconv.Itoa(i) + " " + outcome)
+				sp.End()
+			}
+		})
+		cause := ctx.Err()
+		if cause == nil {
+			return resp, nil
 		}
-	}); err != nil {
-		sweepUnstarted(ctx, len(resp.Items),
-			func(i int) bool { return resp.Items[i].Response != nil || resp.Items[i].Error != nil },
-			func(i int, e *apiError) { resp.Items[i].Error = e })
-	}
-	writeJSONCtx(ctx, w, http.StatusOK, resp)
-}
-
-// predictBatchItem evaluates one batch item, mirroring handlePredict's
-// validation order and status codes. The leading ctx check closes the
-// race where the pool claimed this index just as the request ended:
-// the item answers the cancellation error instead of computing an
-// answer nobody reads.
-func (s *Server) predictBatchItem(ctx context.Context, item PredictRequest, ver uint64) PredictBatchItem {
-	if err := ctx.Err(); err != nil {
-		return PredictBatchItem{Error: itemError(errorStatus(err), err)}
-	}
-	v, err := s.requestVariant(item.Variant)
-	if err != nil {
-		return PredictBatchItem{Error: itemError(http.StatusBadRequest, err)}
-	}
-	cfg, err := item.Config.Config()
-	if err != nil {
-		return PredictBatchItem{Error: itemError(http.StatusBadRequest, err)}
-	}
-	if err := cfg.Validate(); err != nil {
-		return PredictBatchItem{Error: itemError(http.StatusBadRequest, err)}
-	}
-	if _, err := apps.Get(item.App); err != nil {
-		return PredictBatchItem{Error: itemError(http.StatusNotFound, err)}
-	}
-	out, err := s.predictResponseAt(ctx, item.App, v, cfg, ver)
-	if err != nil {
-		return PredictBatchItem{Error: itemError(errorStatus(err), err)}
-	}
-	return PredictBatchItem{Response: &out}
-}
-
-func (s *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
-	var req SelectBatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := checkBatchSize(len(req.Items)); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	batchRequests.Inc()
-	batchItems.Add(float64(len(req.Items)))
-
-	ver := s.store.Snapshot().Version()
-	resp := SelectBatchResponse{
-		StoreVersion: ver,
-		Items:        make([]SelectBatchItem, len(req.Items)),
-	}
-	ctx := r.Context()
-	if err := s.batchPool.RunCtx(ctx, len(req.Items), s.opts.BatchParallelism, func(i int) {
-		ictx, finish := itemSpan(ctx, i)
-		resp.Items[i] = s.selectBatchItem(ictx, req.Items[i], ver)
-		if e := resp.Items[i].Error; e != nil {
-			finish(e.Status)
-		} else {
-			finish(0)
+		// ctx ended while the batch ran: it cut the batch short if it left
+		// any item unevaluated or answering the ctx error itself.
+		var cut error
+		for i := range resp.Items {
+			item := &resp.Items[i]
+			if item.Response == nil && item.Error == nil {
+				item.Error = itemError(fmt.Errorf("batch: item not evaluated: %w", cause))
+			}
+			if item.Error != nil && item.Error.Status == errorStatus(cause) {
+				cut = fmt.Errorf("batch: cut short: %w", cause)
+			}
 		}
-	}); err != nil {
-		sweepUnstarted(ctx, len(resp.Items),
-			func(i int) bool { return resp.Items[i].Response != nil || resp.Items[i].Error != nil },
-			func(i int, e *apiError) { resp.Items[i].Error = e })
+		return resp, cut
 	}
-	writeJSONCtx(ctx, w, http.StatusOK, resp)
-}
-
-// selectBatchItem evaluates one batch item, mirroring handleSelect's
-// validation order, status codes, and per-request Limit truncation (and
-// predictBatchItem's leading ctx check).
-func (s *Server) selectBatchItem(ctx context.Context, item SelectRequest, ver uint64) SelectBatchItem {
-	if err := ctx.Err(); err != nil {
-		return SelectBatchItem{Error: itemError(errorStatus(err), err)}
-	}
-	v, err := s.requestVariant(item.Variant)
-	if err != nil {
-		return SelectBatchItem{Error: itemError(http.StatusBadRequest, err)}
-	}
-	total, err := units.ParseBytes(item.Size)
-	if err != nil {
-		return SelectBatchItem{Error: itemError(http.StatusBadRequest, err)}
-	}
-	var deadline time.Duration
-	if item.Deadline != "" {
-		deadline, err = time.ParseDuration(item.Deadline)
-		if err != nil || deadline <= 0 {
-			return SelectBatchItem{Error: itemError(http.StatusBadRequest,
-				fmt.Errorf("deadline %q: want a positive Go duration", item.Deadline))}
-		}
-	}
-	if _, err := apps.Get(item.App); err != nil {
-		return SelectBatchItem{Error: itemError(http.StatusNotFound, err)}
-	}
-	out, err := s.selectResponseAt(ctx, item.App, v, total, deadline, ver)
-	if err != nil {
-		return SelectBatchItem{Error: itemError(errorStatus(err), err)}
-	}
-	// out is this item's copy of the (possibly cached, shared) value;
-	// Limit truncates only this item's view of the ranking.
-	if item.Limit > 0 && item.Limit < len(out.Candidates) {
-		out.Candidates = out.Candidates[:item.Limit]
-	}
-	return SelectBatchItem{Response: &out}
 }

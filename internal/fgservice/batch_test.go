@@ -1,6 +1,7 @@
 package fgservice
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,8 +10,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"freerideg/internal/core"
 	"freerideg/internal/metrics"
+	"freerideg/internal/units"
 )
 
 const batchPredictItem = `{"app":"kmeans","config":{"cluster":"pentium-myrinet",` +
@@ -134,25 +138,26 @@ func TestBatchSizeRejected(t *testing.T) {
 	}
 }
 
-// TestBatchFillsAndHitsResponseCache: batch items go through the same
-// versioned response cache as singular requests — duplicates inside one
-// batch collapse to one fill, and a later singular request hits what
-// the batch filled.
+// TestBatchFillsAndHitsResponseCache: /select/batch items go through the
+// same versioned response cache as singular /select requests —
+// duplicates inside one batch collapse to one fill, and a later singular
+// request hits what the batch filled.
 func TestBatchFillsAndHitsResponseCache(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
-	hits := cacheCounter(t, "fg_servecache_hits_total", "predict")
-	misses := cacheCounter(t, "fg_servecache_misses_total", "predict")
-	coalesced := cacheCounter(t, "fg_servecache_coalesced_total", "predict")
+	hits := cacheCounter(t, "fg_servecache_hits_total", "select")
+	misses := cacheCounter(t, "fg_servecache_misses_total", "select")
+	coalesced := cacheCounter(t, "fg_servecache_coalesced_total", "select")
 	h0, m0, c0 := hits.Value(), misses.Value(), coalesced.Value()
 
+	const item = `{"app":"kmeans","size":"512MB"}`
 	items := make([]string, 8)
 	for i := range items {
-		items[i] = batchPredictItem
+		items[i] = item
 	}
-	rec := postJSON(t, h, "/predict/batch", `{"items":[`+strings.Join(items, ",")+`]}`)
+	rec := postJSON(t, h, "/select/batch", `{"items":[`+strings.Join(items, ",")+`]}`)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("/predict/batch status %d: %s", rec.Code, rec.Body)
+		t.Fatalf("/select/batch status %d: %s", rec.Code, rec.Body)
 	}
 	if got := misses.Value() - m0; got != 1 {
 		t.Fatalf("8 identical batch items filled %v times, want 1 (single-flight)", got)
@@ -163,10 +168,11 @@ func TestBatchFillsAndHitsResponseCache(t *testing.T) {
 	if h, c := hits.Value()-h0, coalesced.Value()-c0; h+c != 7 {
 		t.Fatalf("8 identical batch items: %v hits + %v coalesced, want 7 combined", h, c)
 	}
-	if rec := postJSON(t, h, "/predict", batchPredictItem); rec.Code != http.StatusOK {
-		t.Fatalf("/predict status %d", rec.Code)
+	hb := hits.Value()
+	if rec := postJSON(t, h, "/select", item); rec.Code != http.StatusOK {
+		t.Fatalf("/select status %d", rec.Code)
 	}
-	if got := hits.Value() - h0; got < 1 {
+	if got := hits.Value() - hb; got != 1 {
 		t.Fatalf("singular request after batch did not hit the cache (hits moved %v)", got)
 	}
 }
@@ -245,6 +251,83 @@ func TestBatchSelectCoherenceUnderEpochBumps(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writer.Wait()
+}
+
+// TestCutShortBatchAnswersEnvelope pins what a batch its context cut
+// short answers over HTTP: the whole-request 499/504 envelope, counted
+// on the endpoint's canceled / deadline-exceeded and error counters like
+// any other request — never a 200 whose items carry the bad news, which
+// a client checking only the HTTP status would take for success.
+func TestCutShortBatchAnswersEnvelope(t *testing.T) {
+	// None of these apps are in the test store, so each item profiles.
+	apps := []string{"ann", "apriori", "em", "knn", "vortex", "defect"}
+	items := make([]string, len(apps))
+	for i, app := range apps {
+		items[i] = fmt.Sprintf(`{"app":%q,"size":"32MB"}`, app)
+	}
+	body := `{"items":[` + strings.Join(items, ",") + `]}`
+	label := metrics.Label{Key: "path", Value: "/select/batch"}
+
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration // 0: the client departs instead
+		status  int
+		counter string
+	}{
+		{"client departs", 0, StatusClientClosedRequest, "fg_requests_canceled_total"},
+		{"deadline", 100 * time.Millisecond, http.StatusGatewayTimeout, "fg_requests_deadline_exceeded_total"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Options{
+				Store:            testStore(t),
+				MaxInFlight:      4,
+				BatchParallelism: 1,
+				DisableCache:     true,
+				BaseBytes:        8 * units.MB,
+				RequestTimeout:   tc.timeout,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			release := make(chan struct{})
+			defer close(release)
+			var sims atomic.Int32
+			s.harness.SetObserver(func(core.Profile) {
+				sims.Add(1)
+				if tc.timeout == 0 {
+					cancel() // the client departs while item 0 is still profiling
+				} else {
+					<-release // item 0's profiling outlasts the request's budget
+				}
+			})
+			outcome := metrics.GetCounter(tc.counter, "", label)
+			outcomeBefore, errsBefore := outcome.Value(), errorCounter("/select/batch").Value()
+
+			rec := postJSONCtx(ctx, s.Handler(), "/select/batch", body)
+
+			if rec.Code != tc.status {
+				t.Fatalf("cut-short batch: status %d, want %d: %s", rec.Code, tc.status, rec.Body)
+			}
+			var e apiError
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("body is not a JSON error envelope: %v\n%s", err, rec.Body)
+			}
+			if e.Status != tc.status || !strings.Contains(e.Error, "cut short") || e.RequestID == "" {
+				t.Errorf("envelope = %+v, want status %d, a cut-short message and the request ID", e, tc.status)
+			}
+			if got := outcome.Value() - outcomeBefore; got != 1 {
+				t.Errorf("%s moved by %v, want 1", tc.counter, got)
+			}
+			if got := errorCounter("/select/batch").Value() - errsBefore; got != 1 {
+				t.Errorf("fg_http_errors_total moved by %v, want 1", got)
+			}
+			if got := sims.Load(); got > 1 {
+				t.Errorf("cut-short batch ran %d profiling simulations, want at most 1", got)
+			}
+		})
+	}
 }
 
 // TestBatchMetricsMove smoke-checks the fg_batch_* series.

@@ -1,8 +1,12 @@
 package fgservice
 
 import (
+	"context"
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -89,6 +93,37 @@ func FuzzRunRequestObservation(f *testing.F) {
 			if d.got != want {
 				t.Fatalf("%s = %v, want %v (from %q)", d.name, d.got, want, d.raw)
 			}
+		}
+	})
+}
+
+// FuzzDecodeJSON fuzzes the strict request decoder. The pinned contract:
+// a body decodeJSON accepts is exactly one valid JSON document —
+// whatever follows the first value (a second value, a stray closer,
+// garbage) is a rejection, never silently ignored.
+func FuzzDecodeJSON(f *testing.F) {
+	for _, seed := range []string{
+		goodPredict,
+		goodPredict + "\n",
+		goodPredict + `{}`,
+		goodPredict + ` 1`,
+		goodPredict + ` }`,
+		goodPredict + ` ]`,
+		goodPredict + `}`,
+		goodPredict + `]]`,
+		`{"app":"kmeans","confg":{}}`,
+		``,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		r := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body))
+		var req PredictRequest
+		if err := decodeJSON(context.Background(), httptest.NewRecorder(), r, &req); err != nil {
+			return
+		}
+		if !json.Valid([]byte(body)) {
+			t.Fatalf("decodeJSON accepted a body that is not one valid JSON document: %q", body)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -279,11 +280,12 @@ var encodeStates = sync.Pool{New: func() any {
 
 const maxPooledEncodeBuf = 64 << 10
 
-// writeJSON renders v into a pooled buffer and writes it with a correct
-// Content-Length. Encoding errors are counted and turn into a 500 error
-// envelope instead of being silently dropped mid-stream — possible
-// because nothing has been written to w before the buffer is complete.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON renders v into a pooled buffer, writes it with a correct
+// Content-Length, and returns the status written. Encoding errors are
+// counted and turn into a 500 error envelope instead of being silently
+// dropped mid-stream — possible because nothing has been written to w
+// before the buffer is complete.
+func writeJSON(w http.ResponseWriter, status int, v any) int {
 	st := encodeStates.Get().(*encodeState)
 	defer func() {
 		if st.buf.Cap() <= maxPooledEncodeBuf {
@@ -302,32 +304,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Length", strconv.Itoa(st.buf.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(st.buf.Bytes())
+	return status
 }
 
-// writeJSONCtx is writeJSON with an "encode" span on traced requests —
-// the success-path variant handlers use so a trace shows how long
-// response rendering took next to the work itself.
-func writeJSONCtx(ctx context.Context, w http.ResponseWriter, status int, v any) {
-	sp := reqtrace.Child(ctx, "encode")
-	writeJSON(w, status, v)
-	sp.End()
-}
-
-// writeError renders the error envelope. The request ID comes from the
-// response header the middleware stamped before the handler ran — both
-// the real ResponseWriter and the buffered one carry it — so every
-// envelope (including the middleware's own 499/504 ones) correlates.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, apiError{
+// writeError renders the error envelope and returns the status written.
+// The request ID comes from the response header route stamped before
+// anything else ran, so every envelope — 405, 503, 499 and 504 included
+// — correlates.
+func writeError(w http.ResponseWriter, status int, err error) int {
+	return writeJSON(w, status, apiError{
 		Error:     err.Error(),
 		Status:    status,
 		RequestID: w.Header().Get(reqtrace.Header),
 	})
 }
 
-// statusError carries the HTTP status a computation failure maps to, so
-// the cache fill path can report errors through one channel without
-// flattening 404/422 distinctions into 500s.
+// statusError carries the HTTP status a failure maps to, so a typed
+// endpoint function reports validation, lookup and computation failures
+// through its one error result without flattening 400/404/422
+// distinctions into 500s.
 type statusError struct {
 	status int
 	err    error
@@ -373,26 +368,32 @@ func errorStatus(err error) int {
 const MaxRequestBody = 1 << 20
 
 // decodeJSON strictly decodes one JSON request body: unknown fields are
-// rejected, the body is capped at MaxRequestBody, and trailing content
-// after the first JSON value is an error. Every failure is a client
-// error (400), never a 500.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	sp := reqtrace.Child(r.Context(), "decode")
+// rejected, the body is capped at MaxRequestBody, and anything but
+// whitespace after the first JSON value is an error. Every failure is a
+// client error (400), never a 500.
+func decodeJSON(ctx context.Context, w http.ResponseWriter, r *http.Request, v any) error {
+	sp := reqtrace.Child(ctx, "decode")
 	defer sp.End()
-	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBody)
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return fmt.Errorf("request body exceeds %d bytes", maxErr.Limit)
+	err := dec.Decode(v)
+	if err == nil {
+		// The next token must be end of input. (dec.More would miss a
+		// stray closer: it reports false at any '}' or ']'.)
+		_, err = dec.Token()
+		var syntax *json.SyntaxError
+		switch {
+		case err == io.EOF:
+			return nil
+		case err == nil, errors.As(err, &syntax):
+			return errors.New("request body holds more than one JSON value")
 		}
-		return fmt.Errorf("decoding request: %w", err)
 	}
-	if dec.More() {
-		return errors.New("request body holds more than one JSON value")
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		return fmt.Errorf("request body exceeds %d bytes", maxErr.Limit)
 	}
-	return nil
+	return fmt.Errorf("decoding request: %w", err)
 }
 
 // requestVariant resolves the request's variant override against the
@@ -404,70 +405,31 @@ func (s *Server) requestVariant(name string) (core.Variant, error) {
 	return core.ParseVariant(name)
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req PredictRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func badRequest(err error) error { return withStatus(http.StatusBadRequest, err) }
+
+// predict is POST /predict and one /predict/batch item: validate, resolve
+// the app's predictor (which may self-profile an unknown app), and run
+// the prediction arithmetic. There is no response cache in front of it —
+// the arithmetic is cheaper than a cache lookup. StoreVersion is read
+// before the predictor is resolved, so it never claims a newer snapshot
+// than the one the prediction used.
+func (s *Server) predict(ctx context.Context, req *PredictRequest) (PredictResponse, error) {
 	v, err := s.requestVariant(req.Variant)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return PredictResponse{}, badRequest(err)
 	}
 	cfg, err := req.Config.Config()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return PredictResponse{}, badRequest(err)
 	}
 	if err := cfg.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return PredictResponse{}, badRequest(err)
 	}
 	if _, err := apps.Get(req.App); err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
+		return PredictResponse{}, withStatus(http.StatusNotFound, err)
 	}
-	resp, err := s.predictResponse(r.Context(), req.App, v, cfg)
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	writeJSONCtx(r.Context(), w, http.StatusOK, resp)
-}
-
-// predictKey renders the cache key for one prediction. %g round-trips
-// float64 exactly, so distinct bandwidths never collide.
-func predictKey(app string, v core.Variant, cfg core.Config) string {
-	return fmt.Sprintf("%s|%s|%s|%d|%d|%g|%d",
-		app, v, cfg.Cluster, cfg.DataNodes, cfg.ComputeNodes,
-		float64(cfg.Bandwidth), int64(cfg.DatasetBytes))
-}
-
-// predictResponse serves one prediction through the response cache,
-// pinned to the profile store snapshot version. Inputs are validated by
-// the handler; only successful computations are cached.
-func (s *Server) predictResponse(ctx context.Context, app string, v core.Variant, cfg core.Config) (PredictResponse, error) {
-	return s.predictResponseAt(ctx, app, v, cfg, s.store.Snapshot().Version())
-}
-
-// predictResponseAt is predictResponse against a caller-resolved
-// snapshot version: the batch plane resolves the version once and
-// serves every item in the batch at it. ctx bounds only this request's
-// wait; a fill another request depends on is never canceled by it.
-func (s *Server) predictResponseAt(ctx context.Context, app string, v core.Variant, cfg core.Config, ver uint64) (PredictResponse, error) {
-	if s.predictCache == nil {
-		return s.computePredict(ctx, app, v, cfg, ver)
-	}
-	return s.predictCache.Get(ctx, predictKey(app, v, cfg), ver, func(ctx context.Context) (PredictResponse, error) {
-		return s.computePredict(ctx, app, v, cfg, ver)
-	})
-}
-
-// computePredict is the cold path: resolve the app's predictor (which
-// may self-profile an unknown app) and run the prediction arithmetic.
-func (s *Server) computePredict(ctx context.Context, app string, v core.Variant, cfg core.Config, ver uint64) (PredictResponse, error) {
-	pred, err := s.predictor(ctx, app)
+	ver := s.store.Snapshot().Version()
+	pred, err := s.predictor(ctx, req.App)
 	if err != nil {
 		return PredictResponse{}, withStatus(http.StatusInternalServerError, err)
 	}
@@ -476,7 +438,7 @@ func (s *Server) computePredict(ctx context.Context, app string, v core.Variant,
 		return PredictResponse{}, withStatus(http.StatusUnprocessableEntity, err)
 	}
 	return PredictResponse{
-		App:          app,
+		App:          req.App,
 		Variant:      v.String(),
 		StoreVersion: ver,
 		Config:       cfg,
@@ -491,72 +453,57 @@ func (s *Server) computePredict(ctx context.Context, app string, v core.Variant,
 	}, nil
 }
 
-func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	var req SelectRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+// selectReplica is POST /select and one /select/batch item: validate,
+// then serve the ranking through the response cache. A ranking depends
+// on the profile store and on the live bandwidth estimator, so the cache
+// version is the snapshot version plus the observation epoch (see
+// Server.estEpoch for why the sum is sound). ctx bounds only this
+// request's wait; a fill another request depends on is never canceled
+// by it.
+func (s *Server) selectReplica(ctx context.Context, req *SelectRequest) (SelectResponse, error) {
 	v, err := s.requestVariant(req.Variant)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return SelectResponse{}, badRequest(err)
 	}
 	total, err := units.ParseBytes(req.Size)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return SelectResponse{}, badRequest(err)
 	}
 	var deadline time.Duration
 	if req.Deadline != "" {
 		deadline, err = time.ParseDuration(req.Deadline)
 		if err != nil || deadline <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("deadline %q: want a positive Go duration", req.Deadline))
-			return
+			return SelectResponse{}, badRequest(fmt.Errorf("deadline %q: want a positive Go duration", req.Deadline))
 		}
 	}
 	if _, err := apps.Get(req.App); err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
+		return SelectResponse{}, withStatus(http.StatusNotFound, err)
 	}
-	resp, err := s.selectResponse(r.Context(), req.App, v, total, deadline)
+	ver := s.store.Snapshot().Version()
+	var resp SelectResponse
+	if s.selectCache == nil {
+		resp, err = s.computeSelect(ctx, req.App, v, total, deadline, ver)
+	} else {
+		resp, err = s.selectCache.Get(ctx, selectKey(req.App, v, total, deadline), ver+s.estEpoch.Load(),
+			func(ctx context.Context) (SelectResponse, error) {
+				return s.computeSelect(ctx, req.App, v, total, deadline, ver)
+			})
+	}
 	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
+		return SelectResponse{}, err
 	}
 	// resp is a copy of the (possibly cached, shared) value; Limit
 	// truncates only this request's view of the ranking.
 	if req.Limit > 0 && req.Limit < len(resp.Candidates) {
 		resp.Candidates = resp.Candidates[:req.Limit]
 	}
-	writeJSONCtx(r.Context(), w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // selectKey renders the cache key for one ranking. Limit is deliberately
 // absent: the full ranking is cached once and truncated per request.
 func selectKey(app string, v core.Variant, total units.Bytes, deadline time.Duration) string {
 	return fmt.Sprintf("%s|%s|%d|%d", app, v, int64(total), int64(deadline))
-}
-
-// selectResponse serves one ranking through the response cache. A
-// ranking depends on the profile store and on the live bandwidth
-// estimator, so the cache version is the snapshot version plus the
-// observation epoch (see Server.estEpoch for why the sum is sound).
-func (s *Server) selectResponse(ctx context.Context, app string, v core.Variant, total units.Bytes, deadline time.Duration) (SelectResponse, error) {
-	return s.selectResponseAt(ctx, app, v, total, deadline, s.store.Snapshot().Version())
-}
-
-// selectResponseAt is selectResponse against a caller-resolved snapshot
-// version; the estimator epoch is still read live (it changes only via
-// /observe, which the batch plane does not serve).
-func (s *Server) selectResponseAt(ctx context.Context, app string, v core.Variant, total units.Bytes, deadline time.Duration, snapVer uint64) (SelectResponse, error) {
-	if s.selectCache == nil {
-		return s.computeSelect(ctx, app, v, total, deadline, snapVer)
-	}
-	ver := snapVer + s.estEpoch.Load()
-	return s.selectCache.Get(ctx, selectKey(app, v, total, deadline), ver, func(ctx context.Context) (SelectResponse, error) {
-		return s.computeSelect(ctx, app, v, total, deadline, snapVer)
-	})
 }
 
 // computeSelect is the cold path: resolve the dataset's persistent
@@ -568,7 +515,7 @@ func (s *Server) selectResponseAt(ctx context.Context, app string, v core.Varian
 func (s *Server) computeSelect(ctx context.Context, app string, v core.Variant, total units.Bytes, deadline time.Duration, ver uint64) (SelectResponse, error) {
 	spec, err := bench.Dataset(app, total)
 	if err != nil {
-		return SelectResponse{}, withStatus(http.StatusBadRequest, err)
+		return SelectResponse{}, badRequest(err)
 	}
 	// Ensures the app is profiled and in the store before ranking.
 	if _, err := s.predictor(ctx, app); err != nil {
@@ -628,29 +575,22 @@ func (s *Server) computeSelect(ctx context.Context, app string, v core.Variant, 
 	return resp, nil
 }
 
-func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var req ObserveRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+// observe is POST /observe: feed one transfer sample into the bandwidth
+// estimator and report the path's state after it.
+func (s *Server) observe(_ context.Context, req *ObserveRequest) (ObserveResponse, error) {
 	if req.Site == "" || req.Cluster == "" {
-		writeError(w, http.StatusBadRequest, errors.New("observe: site and cluster are required"))
-		return
+		return ObserveResponse{}, badRequest(errors.New("observe: site and cluster are required"))
 	}
 	b, err := units.ParseBytes(req.Bytes)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return ObserveResponse{}, badRequest(err)
 	}
 	elapsed, err := time.ParseDuration(req.Elapsed)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("elapsed %q: %v", req.Elapsed, err))
-		return
+		return ObserveResponse{}, badRequest(fmt.Errorf("elapsed %q: %v", req.Elapsed, err))
 	}
 	if err := s.est.Observe(req.Site, req.Cluster, grid.TransferSample{Bytes: b, Elapsed: elapsed}); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return ObserveResponse{}, badRequest(err)
 	}
 	// The estimator's state feeds selection bandwidths: bump the epoch so
 	// cached rankings computed before this observation stop matching.
@@ -663,38 +603,30 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if bw, _, err := s.est.Estimate(req.Site, req.Cluster); err == nil {
 		resp.Bandwidth = bw.String()
 	}
-	writeJSONCtx(r.Context(), w, http.StatusOK, resp)
+	return resp, nil
 }
 
-// handleRuns ingests one observed run as a calibration sample: drift is
-// tracked against the current prediction, and enough mis-predicted runs
-// trigger a recalibration (reported in the response).
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+// runs is POST /runs: ingest one observed run as a calibration sample.
+// Drift is tracked against the current prediction, and enough
+// mis-predicted runs trigger a recalibration (reported in the response).
+func (s *Server) runs(_ context.Context, req *RunRequest) (profile.IngestResult, error) {
 	if req.App == "" {
-		writeError(w, http.StatusBadRequest, errors.New("runs: app is required"))
-		return
+		return profile.IngestResult{}, badRequest(errors.New("runs: app is required"))
 	}
 	obs, err := req.observation()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return profile.IngestResult{}, badRequest(err)
 	}
 	res, err := s.store.Ingest(obs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return profile.IngestResult{}, badRequest(err)
 	}
-	writeJSONCtx(r.Context(), w, http.StatusOK, res)
+	return res, nil
 }
 
-// handleProfiles reports the live store: every profile with its version,
-// accumulated samples, and drift state, from one consistent snapshot.
-func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
+// profiles is GET /profiles: every profile with its version, accumulated
+// samples, and drift state, from one consistent snapshot.
+func (s *Server) profiles(_ context.Context, w http.ResponseWriter, _ *http.Request) int {
 	snap := s.store.Snapshot()
 	resp := ProfilesResponse{
 		StoreVersion: snap.Version(),
@@ -713,10 +645,12 @@ func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
 		}
 		resp.Profiles = append(resp.Profiles, info)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// healthz is GET /healthz. A degraded answer is a 503 carrying the same
+// HealthResponse body, not an error envelope.
+func (s *Server) healthz(_ context.Context, w http.ResponseWriter, _ *http.Request) int {
 	s.mu.Lock()
 	profiled := len(s.preds)
 	s.mu.Unlock()
@@ -736,34 +670,42 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		resp.Status, code = "degraded", http.StatusServiceUnavailable
 		resp.Reason = "overloaded: concurrency limiter saturated, requests are being shed with 503"
 	}
-	writeJSON(w, code, resp)
+	return writeJSON(w, code, resp)
 }
 
-// handleDebugRequests serves the completed-trace ring: recent requests,
-// the slowest since startup, and the most recent errored ones, each with
-// its full span tree (see reqtrace.RingSnapshot for the schema).
-func (s *Server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.traceRing.Snapshot())
+// debugRequests is GET /debug/requests, the completed-trace ring: recent
+// requests, the slowest since startup, and the most recent errored ones,
+// each with its full span tree (see reqtrace.RingSnapshot for the
+// schema).
+func (s *Server) debugRequests(_ context.Context, w http.ResponseWriter, _ *http.Request) int {
+	return writeJSON(w, http.StatusOK, s.traceRing.Snapshot())
 }
 
-// Handler assembles the service mux: instrumented, concurrency-bounded,
-// per-request-timed handlers plus the metrics exposition.
+// Handler assembles the service mux: the endpoint table, every entry
+// behind the same route pipeline, plus the metrics exposition. The
+// bounded endpoints are typed functions; a batch endpoint is its
+// singular function lifted by batchOf.
 func (s *Server) Handler() http.Handler {
-	lim := s.lim
+	const get, post = http.MethodGet, http.MethodPost
 	mux := http.NewServeMux()
-	mux.Handle("/predict", s.instrument("/predict", lim, http.MethodPost, s.handlePredict))
-	mux.Handle("/predict/batch", s.instrument("/predict/batch", lim, http.MethodPost, s.handlePredictBatch))
-	mux.Handle("/select", s.instrument("/select", lim, http.MethodPost, s.handleSelect))
-	mux.Handle("/select/batch", s.instrument("/select/batch", lim, http.MethodPost, s.handleSelectBatch))
-	mux.Handle("/observe", s.instrument("/observe", lim, http.MethodPost, s.handleObserve))
-	mux.Handle("/runs", s.instrument("/runs", lim, http.MethodPost, s.handleRuns))
-	mux.Handle("/profiles", s.instrument("/profiles", nil, http.MethodGet, s.handleProfiles))
-	mux.Handle("/healthz", s.instrument("/healthz", nil, http.MethodGet, s.handleHealthz))
-	mux.Handle("/debug/requests", s.instrument("/debug/requests", nil, http.MethodGet, s.handleDebugRequests))
+	for _, e := range []struct {
+		path, method string
+		lim          *limiter
+		do           step
+	}{
+		{"/predict", post, s.lim, endpoint(s.predict)},
+		{"/predict/batch", post, s.lim, endpoint(batchOf(s, s.predict))},
+		{"/select", post, s.lim, endpoint(s.selectReplica)},
+		{"/select/batch", post, s.lim, endpoint(batchOf(s, s.selectReplica))},
+		{"/observe", post, s.lim, endpoint(s.observe)},
+		{"/runs", post, s.lim, endpoint(s.runs)},
+		{"/profiles", get, nil, s.profiles},
+		{"/healthz", get, nil, s.healthz},
+		{"/debug/requests", get, nil, s.debugRequests},
+	} {
+		mux.Handle(e.path, s.route(e.path, e.lim, e.method, e.do))
+	}
 	mux.Handle("/metrics", metrics.Default().Handler())
-	// No http.TimeoutHandler wrapper: instrument enforces the per-request
-	// deadline budget itself and answers a JSON 504 envelope (the old
-	// wrapper wrote a plain-text body no client of this API could parse).
 	return mux
 }
 

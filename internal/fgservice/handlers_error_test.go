@@ -1,7 +1,9 @@
 package fgservice
 
 import (
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -44,21 +46,22 @@ const (
 	goodRun     = `{"app":"kmeans","config":` + goodConfig + `,"tdisk":"2s","tnetwork":"1s","tcompute":"8s"}`
 )
 
-// TestHandlerErrorPaths drives every endpoint through its client-error
-// classes and pins three contracts per case: the HTTP status, the
-// structured apiError envelope (a client mistake is never a bare 500
-// body), and that the per-endpoint error counter moved by exactly one.
-func TestHandlerErrorPaths(t *testing.T) {
-	h := testServer(t).Handler()
+// errorCase is one row of the client-error table errorCases returns:
+// every endpoint through each of its error classes.
+// TestHandlerErrorPaths drives it against the singular endpoints;
+// TestBatchItemErrorsMatchSingular replays the rows a batch item can
+// express as one-item batches.
+type errorCase struct {
+	name     string
+	method   string
+	path     string
+	body     string
+	status   int
+	contains string // required substring of the error message
+}
 
-	cases := []struct {
-		name     string
-		method   string
-		path     string
-		body     string
-		status   int
-		contains string // required substring of the error message
-	}{
+func errorCases() []errorCase {
+	return []errorCase{
 		// Wrong method on every endpoint.
 		{"predict wrong method", http.MethodGet, "/predict", "", http.StatusMethodNotAllowed, "method"},
 		{"select wrong method", http.MethodGet, "/select", "", http.StatusMethodNotAllowed, "method"},
@@ -90,6 +93,16 @@ func TestHandlerErrorPaths(t *testing.T) {
 
 		// Trailing content after the first JSON value.
 		{"predict trailing value", http.MethodPost, "/predict", goodPredict + `{}`,
+			http.StatusBadRequest, "more than one JSON value"},
+		// A stray closer is trailing content too (json.Decoder.More is
+		// false at one, so a More-based check lets these through).
+		{"predict trailing brace", http.MethodPost, "/predict", goodPredict + ` }`,
+			http.StatusBadRequest, "more than one JSON value"},
+		{"predict trailing bracket", http.MethodPost, "/predict", goodPredict + ` ]`,
+			http.StatusBadRequest, "more than one JSON value"},
+		{"select trailing brace unspaced", http.MethodPost, "/select", `{"app":"kmeans","size":"1GB"}}`,
+			http.StatusBadRequest, "more than one JSON value"},
+		{"select trailing brackets", http.MethodPost, "/select", `{"app":"kmeans","size":"1GB"}]]`,
 			http.StatusBadRequest, "more than one JSON value"},
 
 		// Oversized bodies on each POST endpoint.
@@ -139,8 +152,16 @@ func TestHandlerErrorPaths(t *testing.T) {
 			`{"config":` + goodConfig + `,"tdisk":"2s","tnetwork":"1s","tcompute":"8s"}`,
 			http.StatusBadRequest, "app"},
 	}
+}
 
-	for _, tc := range cases {
+// TestHandlerErrorPaths drives every endpoint through its client-error
+// classes and pins three contracts per case: the HTTP status, the
+// structured apiError envelope (a client mistake is never a bare 500
+// body), and that the per-endpoint error counter moved by exactly one.
+func TestHandlerErrorPaths(t *testing.T) {
+	h := testServer(t).Handler()
+
+	for _, tc := range errorCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			errsBefore := errorCounter(tc.path).Value()
 			rec := doRequest(t, h, tc.method, tc.path, tc.body)
@@ -185,5 +206,94 @@ func TestErrorPathsLeaveSuccessCounterClean(t *testing.T) {
 	}
 	if rec := postJSON(t, h, "/predict", goodPredict); rec.Code != http.StatusOK {
 		t.Fatalf("valid request after error: %d (%s)", rec.Code, rec.Body)
+	}
+}
+
+// TestBatchItemErrorsMatchSingular keeps a batch item and its singular
+// endpoint one function: every error-table case a batch item can
+// express (a POST body that strictly decodes as the item type) is
+// replayed as a one-item batch, and the item's status and message must
+// equal the singular envelope's.
+func TestBatchItemErrorsMatchSingular(t *testing.T) {
+	h := testServer(t).Handler()
+	strict := func(body string, v any) bool {
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		return dec.Decode(v) == nil
+	}
+	replayed := 0
+	for _, tc := range errorCases() {
+		switch {
+		case tc.method != http.MethodPost || !json.Valid([]byte(tc.body)):
+			continue
+		case tc.path == "/predict" && strict(tc.body, new(PredictRequest)):
+		case tc.path == "/select" && strict(tc.body, new(SelectRequest)):
+		default:
+			continue
+		}
+		replayed++
+		t.Run(tc.name, func(t *testing.T) {
+			var single apiError
+			rec := postJSON(t, h, tc.path, tc.body)
+			if err := json.Unmarshal(rec.Body.Bytes(), &single); err != nil || rec.Code != tc.status {
+				t.Fatalf("singular: status %d, envelope error %v: %s", rec.Code, err, rec.Body)
+			}
+			rec = postJSON(t, h, tc.path+"/batch", `{"items":[`+tc.body+`]}`)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("batch status %d: %s", rec.Code, rec.Body)
+			}
+			var batch struct {
+				Items []struct {
+					Response json.RawMessage `json:"response"`
+					Error    *apiError       `json:"error"`
+				} `json:"items"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil || len(batch.Items) != 1 {
+				t.Fatalf("batch body (%v): %s", err, rec.Body)
+			}
+			item := batch.Items[0]
+			if item.Error == nil || item.Response != nil {
+				t.Fatalf("item answered without error: %s", rec.Body)
+			}
+			if item.Error.Status != single.Status || item.Error.Error != single.Error {
+				t.Errorf("batch item error = %d %q, singular envelope = %d %q",
+					item.Error.Status, item.Error.Error, single.Status, single.Error)
+			}
+		})
+	}
+	if replayed < 9 {
+		t.Fatalf("only %d error-table cases were replayed as batch items, want the 9 item-level ones", replayed)
+	}
+}
+
+// departingBody is a request body whose client goes away mid-upload: the
+// read fails and the request's context is canceled.
+type departingBody struct{ cancel context.CancelFunc }
+
+func (b departingBody) Read([]byte) (int, error) {
+	b.cancel()
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestBodyReadCutShortIsNotAClientError: a decode that failed because
+// the request ended mid-upload answers (and is counted as) the 499, not
+// a 400 blaming the body.
+func TestBodyReadCutShortIsNotAClientError(t *testing.T) {
+	s := testServer(t)
+	canceled := metrics.GetCounter("fg_requests_canceled_total", "",
+		metrics.Label{Key: "path", Value: "/predict"})
+	before := canceled.Value()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/predict", departingBody{cancel}).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+
+	if rec.Code != StatusClientClosedRequest {
+		t.Fatalf("status %d, want 499: %s", rec.Code, rec.Body)
+	}
+	if got := canceled.Value() - before; got != 1 {
+		t.Errorf("fg_requests_canceled_total moved by %v, want 1", got)
 	}
 }

@@ -1,7 +1,6 @@
 package fgservice
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -49,67 +48,54 @@ func (l *limiter) release() { <-l.slots }
 // /healthz uses to report degraded state while load is being shed.
 func (l *limiter) saturated() bool { return len(l.slots) == cap(l.slots) }
 
-// bufferedResponse is the private ResponseWriter a handler goroutine
-// renders into. The middleware goroutine owns the real ResponseWriter:
-// it either flushes the buffer after the handler finishes, or abandons
-// the buffer and answers the timeout/cancel envelope itself. The two
-// goroutines never touch the buffer concurrently — the handler's last
-// write happens-before the flush (channel close), and an abandoned
-// buffer is only ever written by the handler.
-type bufferedResponse struct {
-	header http.Header
-	buf    bytes.Buffer
-	status int
-}
+// step is the endpoint-specific tail of the request pipeline: read what
+// the endpoint needs from r, do the work under ctx, write the response
+// to w, and report the status written. endpoint builds one from a typed
+// function; the body-less GET endpoints implement it directly.
+type step func(ctx context.Context, w http.ResponseWriter, r *http.Request) int
 
-func newBufferedResponse() *bufferedResponse {
-	return &bufferedResponse{header: make(http.Header)}
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) {
-	if b.status == 0 {
-		b.status = code
+// endpoint adapts a typed endpoint function to a step: strict decode,
+// call, then the error envelope (the function's error carries its status
+// via withStatus; a returned ctx.Err() becomes 499/504) or the pooled
+// encode. A result that completed is written even if ctx ended
+// meanwhile — it is already paid for and still deliverable.
+func endpoint[Req, Resp any](fn func(context.Context, *Req) (Resp, error)) step {
+	return func(ctx context.Context, w http.ResponseWriter, r *http.Request) int {
+		var req Req
+		if err := decodeJSON(ctx, w, r, &req); err != nil {
+			// A body read that failed because the request ended (client
+			// gone or budget spent mid-upload) is that outcome, not a
+			// malformed request.
+			if cerr := ctx.Err(); cerr != nil {
+				return writeError(w, errorStatus(cerr), cerr)
+			}
+			return writeError(w, http.StatusBadRequest, err)
+		}
+		resp, err := fn(ctx, &req)
+		if err != nil {
+			return writeError(w, errorStatus(err), err)
+		}
+		sp := reqtrace.Child(ctx, "encode")
+		status := writeJSON(w, http.StatusOK, &resp)
+		sp.End()
+		return status
 	}
 }
 
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.status == 0 {
-		b.status = http.StatusOK
-	}
-	return b.buf.Write(p)
-}
-
-// flush copies the buffered response onto the real writer and reports
-// the status it carried.
-func (b *bufferedResponse) flush(w http.ResponseWriter) int {
-	if b.status == 0 {
-		b.status = http.StatusOK
-	}
-	dst := w.Header()
-	for k, vs := range b.header {
-		dst[k] = vs
-	}
-	w.WriteHeader(b.status)
-	_, _ = w.Write(b.buf.Bytes())
-	return b.status
-}
-
-// instrument wraps one endpoint with method filtering, the concurrency
-// bound (nil lim admits everything — /healthz must answer even under
-// load), deadline/cancellation propagation, the test-only slowdown, and
-// per-endpoint request metrics.
+// route is the one request pipeline every endpoint runs through, on the
+// request's own goroutine and writing straight to w: request ID, trace
+// root, method filter, the concurrency bound (nil lim admits everything
+// — /healthz must answer even under load), the RequestTimeout context,
+// the endpoint's step, and per-endpoint metrics.
 //
-// Every admitted request runs its handler under a context derived from
-// the client's (so a disconnect cancels it) bounded by the server's
-// RequestTimeout budget. The handler renders into a private buffer on
-// its own goroutine; if the context ends first, the middleware answers
-// the JSON timeout/cancel envelope immediately and the handler — whose
-// context is the same, now-canceled one — unwinds cooperatively,
-// releasing its limiter slot the moment it returns rather than holding
-// it for a full computation nobody is waiting on.
-func (s *Server) instrument(path string, lim *limiter, method string, h http.HandlerFunc) http.Handler {
+// The step's context derives from the client's (so a disconnect cancels
+// it) bounded by the server's RequestTimeout budget. Nothing answers on
+// the step's behalf: every wait beneath it honours ctx and returns
+// ctx.Err(), which endpoint renders as the JSON 499/504 envelope, and
+// the limiter slot is released as the step returns. A computation that
+// ignored ctx would answer late instead — bounded by the socket's
+// WriteTimeout — not be answered for at the deadline.
+func (s *Server) route(path string, lim *limiter, method string, do step) http.Handler {
 	label := metrics.Label{Key: "path", Value: path}
 	requests := metrics.GetCounter("fg_http_requests_total",
 		"HTTP requests handled, by endpoint.", label)
@@ -127,109 +113,41 @@ func (s *Server) instrument(path string, lim *limiter, method string, h http.Han
 		"Requests currently being handled, by endpoint.", label)
 
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Inc()
 		// Every request — including ones rejected below — gets an ID,
 		// echoed in the response header and readable by writeError for
-		// the error envelope. The shared slice is assigned into the
-		// header map directly (instead of via Set) so the ID costs
-		// exactly two allocations: the string and this slice.
-		idv := []string{reqtrace.NewID()}
-		w.Header()[reqtrace.Header] = idv
-		if r.Method != method {
-			errs.Inc()
-			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed,
-				&methodError{method: r.Method, want: method, path: path})
-			return
-		}
-		if lim != nil && !lim.tryAcquire() {
-			throttled.Inc()
-			errs.Inc()
-			writeError(w, http.StatusServiceUnavailable, errOverloaded)
-			return
-		}
-		ctx, cancelReq := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+		// the error envelope.
+		id := reqtrace.NewID()
+		start := time.Now()
 		// Tracing rides only the bounded endpoints (the ones doing real
-		// work) and only when sampling selects the request; the ID above
-		// is unconditional. The middleware selects on ctx — the trace
-		// context derives from it, so the deadline is shared.
+		// work) and only when sampling selects the request; the ID is
+		// unconditional. The handler span opens before anything else
+		// happens to the request and closes after the response is
+		// written and counted, so it covers all the request cost the
+		// server but the trace's own completion.
+		ctx := r.Context()
 		var tr *reqtrace.Trace
-		hctx := ctx
 		var hspan reqtrace.Span
 		if lim != nil && s.sampleTrace() {
-			tr = reqtrace.New(idv[0], path)
-			hctx = reqtrace.WithTrace(ctx, tr)
-			hctx, hspan = reqtrace.StartSpan(hctx, "handler")
+			tr = reqtrace.New(id, path)
+			ctx, hspan = reqtrace.StartSpan(reqtrace.WithTrace(ctx, tr), "handler")
 		}
-		r = r.WithContext(hctx)
-		inflight.Add(1)
-		start := time.Now()
-
-		br := newBufferedResponse()
-		br.header[reqtrace.Header] = idv
-		done := make(chan struct{})
-		go func() {
-			defer func() {
-				// Released here — not in the middleware — so the slot and
-				// inflight gauge track the handler's actual lifetime even
-				// when the middleware answered early. A cooperative handler
-				// unwinds promptly once ctx ends, so an abandoned request
-				// frees its slot in microseconds, not at the full deadline.
-				if lim != nil {
-					lim.release()
-				}
-				inflight.Add(-1)
-				cancelReq()
-			}()
-			// Registered after the release defer so it runs before it
-			// (LIFO): done must close before cancelReq fires, or the
-			// middleware could observe the release's own cancellation and
-			// misreport a completed request as canceled.
-			defer close(done)
-			// The test-only slowdown models handler work, which only the
-			// bounded endpoints do; a delayed health probe would observe the
-			// world after the load it is meant to report has drained. It is
-			// context-aware like any other handler work.
-			if s.delay > 0 && lim != nil {
-				select {
-				case <-time.After(s.delay):
-				case <-ctx.Done():
-					// The request died mid-delay: running the handler now
-					// would do real work — cache fills, profiling runs — on
-					// behalf of nobody, perturbing shared state long after
-					// the middleware has answered. Render the same envelope
-					// a cooperative handler would and unwind.
-					err := ctx.Err()
-					writeError(br, errorStatus(err), err)
-					hspan.End()
-					return
-				}
-			}
-			h(br, r)
-			hspan.End()
-		}()
-
+		requests.Inc()
+		// Assigned into the header map directly (instead of via Set) so
+		// the ID costs exactly two allocations: the string and this slice.
+		w.Header()[reqtrace.Header] = []string{id}
 		var status int
-		select {
-		case <-done:
-			status = br.flush(w)
-		case <-ctx.Done():
-			select {
-			case <-done:
-				// The handler finished in the same instant the context
-				// ended; its complete response wins — it is already paid
-				// for and still deliverable.
-				status = br.flush(w)
-			default:
-				// The handler is still running against the same canceled
-				// context; its buffered output is abandoned, never flushed.
-				err := ctx.Err()
-				status = errorStatus(err)
-				writeError(w, status, err)
-			}
+		switch {
+		case r.Method != method:
+			w.Header().Set("Allow", method)
+			status = writeError(w, http.StatusMethodNotAllowed,
+				&methodError{method: r.Method, want: method, path: path})
+		case lim != nil && !lim.tryAcquire():
+			throttled.Inc()
+			status = writeError(w, http.StatusServiceUnavailable, errOverloaded)
+		default:
+			status = s.admitted(ctx, lim, inflight, w, r, do)
+			latency.Observe(time.Since(start).Seconds())
 		}
-		elapsed := time.Since(start)
-		latency.Observe(elapsed.Seconds())
 		if status >= 400 {
 			errs.Inc()
 		}
@@ -240,6 +158,8 @@ func (s *Server) instrument(path string, lim *limiter, method string, h http.Han
 			canceled.Inc()
 		}
 		if tr != nil {
+			hspan.End()
+			elapsed := time.Since(start)
 			rec := tr.Finish(status, elapsed)
 			s.traceRing.Add(rec)
 			if thr := s.opts.SlowRequestThreshold; thr > 0 && elapsed >= thr {
@@ -247,6 +167,30 @@ func (s *Server) instrument(path string, lim *limiter, method string, h http.Han
 			}
 		}
 	})
+}
+
+// admitted runs one admitted request's step under the RequestTimeout
+// budget, holding its limiter slot and in-flight count until the step
+// returns (or panics). The test-only slowdown models handler work, which
+// only the limited endpoints do (a delayed health probe would observe
+// the world after the load it is meant to report has drained); like any
+// other handler work it gives up the moment ctx ends.
+func (s *Server) admitted(ctx context.Context, lim *limiter, inflight *metrics.Gauge, w http.ResponseWriter, r *http.Request, do step) int {
+	inflight.Add(1)
+	defer inflight.Add(-1)
+	if lim != nil {
+		defer lim.release()
+	}
+	ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
+	defer cancel()
+	if s.delay > 0 && lim != nil {
+		select {
+		case <-time.After(s.delay):
+		case <-ctx.Done():
+			return writeError(w, errorStatus(ctx.Err()), ctx.Err())
+		}
+	}
+	return do(ctx, w, r)
 }
 
 // sampleTrace decides whether the next bounded-endpoint request gets a

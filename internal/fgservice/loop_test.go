@@ -252,3 +252,76 @@ func predictTexec(t *testing.T, h http.Handler, body string) time.Duration {
 	}
 	return resp.Texec
 }
+
+// TestSelectFollowsCrossAppLinkChange is the serve-level regression test
+// for the stale profile.Source: link calibrations are store-wide, so
+// when app A's samples refit a cluster's link, app B's /select must rank
+// with the new calibration in the same breath as B's /predict — the two
+// stamp the same storeVersion and must agree on the same configuration.
+func TestSelectFollowsCrossAppLinkChange(t *testing.T) {
+	s, err := New(Options{Store: testStore(t), BaseBytes: 8 * units.MB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	// topAndPredict returns B's best /select candidate and the /predict
+	// answer for exactly that configuration.
+	topAndPredict := func() (SelectResponse, PredictResponse) {
+		t.Helper()
+		rec := postJSON(t, h, "/select", `{"app":"em","size":"64MB"}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/select status %d: %s", rec.Code, rec.Body)
+		}
+		var sel SelectResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sel); err != nil {
+			t.Fatal(err)
+		}
+		top := sel.Candidates[0]
+		pred := predictResponseOf(t, h, fmt.Sprintf(
+			`{"app":"em","config":{"cluster":%q,"dataNodes":%d,"computeNodes":%d,"bandwidth":"%d","datasetBytes":"%d"}}`,
+			top.Cluster, top.DataNodes, top.ComputeNodes, int64(top.Bandwidth), int64(sel.Size)))
+		return sel, pred
+	}
+
+	sel0, pred0 := topAndPredict() // B = em self-profiles here
+	if sel0.Candidates[0].Predicted != pred0.Texec {
+		t.Fatalf("before the link change /select top predicts %v, /predict %v",
+			sel0.Candidates[0].Predicted, pred0.Texec)
+	}
+	_, emVer, _ := s.Store().Snapshot().Find("em")
+
+	// A = kmeans: multi-node runs whose serialized reduction-object
+	// traffic took 10x what the stored link explains, over two distinct
+	// message sizes — enough for the recalibration's link refit.
+	base := s.Store().Snapshot().Doc().Profiles[0]
+	for i := 0; i < profile.DefaultMinSamples+1; i++ {
+		obs := profileObservation(base, base.Config, 1)
+		obs.Config.ComputeNodes = 2 + i%3
+		obs.Iterations = base.Iterations
+		obs.ROBytesPerNode = units.Bytes(1+i%2) * units.MB
+		obs.BroadcastBytes = obs.ROBytesPerNode
+		obs.Tro = 10 * time.Duration(obs.Iterations*(obs.Config.ComputeNodes-1)*2) *
+			time.Duration(float64(obs.ROBytesPerNode)*1e-8*float64(time.Second))
+		if _, err := s.Store().Ingest(obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Store().Recalibrate("kmeans"); err != nil {
+		t.Fatal(err)
+	}
+	if _, v, _ := s.Store().Snapshot().Find("em"); v != emVer {
+		t.Fatalf("em's own version moved %d -> %d; the test needs a change em did not cause", emVer, v)
+	}
+
+	sel1, pred1 := topAndPredict()
+	if sel1.StoreVersion <= sel0.StoreVersion || sel1.StoreVersion != pred1.StoreVersion {
+		t.Fatalf("store versions: /select %d -> %d, /predict %d", sel0.StoreVersion, sel1.StoreVersion, pred1.StoreVersion)
+	}
+	if pred1.Tro == pred0.Tro {
+		t.Fatalf("the refit link did not reach em's /predict (Tro still %v); the test lost its premise", pred1.Tro)
+	}
+	if got, want := sel1.Candidates[0].Predicted, pred1.Texec; got != want {
+		t.Fatalf("after kmeans refit the link, em's /select top predicts %v but /predict %v for the same configuration at store version %d",
+			got, want, sel1.StoreVersion)
+	}
+}

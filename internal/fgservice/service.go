@@ -81,7 +81,7 @@ type Options struct {
 	Sites  []Site
 	Offers []grid.ComputeOffer
 	// MaxInFlight bounds concurrently handled requests (default
-	// 4×GOMAXPROCS via the HTTP middleware); excess requests get 503.
+	// 4×GOMAXPROCS); excess requests get 503.
 	MaxInFlight int
 	// BatchParallelism bounds how many items of one batch request are
 	// evaluated concurrently (0 = the batch pool's full width). Tests pin
@@ -90,13 +90,11 @@ type Options struct {
 	BatchParallelism int
 	// RequestTimeout bounds one request's handling time (default 30s).
 	RequestTimeout time.Duration
-	// DisableCache turns the response cache off: every request runs the
-	// full prediction/ranking path. The cold baseline fgload compares
-	// against.
+	// DisableCache turns the /select response cache off: every request
+	// runs the full ranking path. (/predict has no response cache.) It is
+	// the reference path the differential tests and the benchmark's
+	// reference server compare the default server against.
 	DisableCache bool
-	// CacheEntries bounds each response cache's entry count (default
-	// servecache.DefaultMaxEntries).
-	CacheEntries int
 	// TraceSample selects which requests on the bounded endpoints get a
 	// full reqtrace span tree: 0 (the default) traces every request,
 	// n > 1 traces one in n, and any negative value disables tracing
@@ -145,6 +143,23 @@ type predEntry struct {
 	err     error
 }
 
+// wait returns the entry's outcome, giving up when ctx ends first. A
+// built entry answers without touching ctx.Done, which would allocate
+// the request context's channel on every hot request.
+func (e *predEntry) wait(ctx context.Context) (*core.Predictor, error) {
+	select {
+	case <-e.done:
+		return e.pred, e.err
+	default:
+	}
+	select {
+	case <-e.done:
+		return e.pred, e.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
 // Server holds the loaded-once state behind the HTTP handlers.
 type Server struct {
 	opts    Options
@@ -174,11 +189,10 @@ type Server struct {
 	// batchPool fans batch-endpoint items across persistent workers.
 	batchPool *workpool.Pool
 
-	// Response caches, keyed by the rendered request and pinned to the
-	// store snapshot version (selections also fold in estEpoch). Nil
+	// selectCache is the /select response cache, keyed by the rendered
+	// request and pinned to the store snapshot version plus estEpoch. Nil
 	// when Options.DisableCache is set.
-	predictCache *servecache.Cache[PredictResponse]
-	selectCache  *servecache.Cache[SelectResponse]
+	selectCache *servecache.Cache[SelectResponse]
 
 	// estEpoch counts accepted /observe samples. Selection answers
 	// depend on the live bandwidth estimator as well as the profile
@@ -201,8 +215,9 @@ type Server struct {
 	slowLogMu sync.Mutex
 	slowLog   io.Writer
 
-	// delay artificially slows request handling; tests set it to prove
-	// in-flight requests survive graceful shutdown.
+	// delay artificially slows request handling; tests set it to park a
+	// request inside the pipeline (graceful shutdown, shedding, deadline
+	// and disconnect handling).
 	delay time.Duration
 }
 
@@ -271,22 +286,19 @@ func New(opts Options) (*Server, error) {
 		s.slowLog = os.Stderr
 	}
 	if !opts.DisableCache {
-		s.predictCache = servecache.New[PredictResponse](servecache.Options{
-			Name: "predict", MaxEntries: opts.CacheEntries})
-		s.selectCache = servecache.New[SelectResponse](servecache.Options{
-			Name: "select", MaxEntries: opts.CacheEntries})
+		s.selectCache = servecache.New[SelectResponse](servecache.Options{Name: "select"})
 	}
 	return s, nil
 }
 
-// CacheStats reads the response caches' counters (zero when the cache
-// is disabled). Counter series are shared per cache name across servers
-// in one process, so callers comparing runs should subtract a reading
+// CacheStats reads the response caches' counters. predict is always
+// zero: /predict no longer has a response cache (a hit saved nothing
+// over the arithmetic it skipped), and the result is kept only so
+// callers that read both need not change. sel is zero when the cache is
+// disabled. Counter series are shared per cache name across servers in
+// one process, so callers comparing runs should subtract a reading
 // taken at server construction.
 func (s *Server) CacheStats() (predict, sel servecache.Stats) {
-	if s.predictCache != nil {
-		predict = s.predictCache.Stats()
-	}
 	if s.selectCache != nil {
 		sel = s.selectCache.Stats()
 	}
@@ -347,12 +359,7 @@ func (s *Server) predictor(ctx context.Context, app string) (*core.Predictor, er
 		// self-profiling run is in flight (the app has no profile yet);
 		// both mean: wait for that entry.
 		s.mu.Unlock()
-		select {
-		case <-e.done:
-			return e.pred, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		return e.wait(ctx)
 	}
 	e := &predEntry{done: make(chan struct{}), version: ver}
 	s.preds[app] = e
@@ -385,12 +392,7 @@ func (s *Server) predictor(ctx context.Context, app string) (*core.Predictor, er
 			s.mu.Unlock()
 		}
 	}()
-	select {
-	case <-e.done:
-		return e.pred, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return e.wait(ctx)
 }
 
 // buildPredictor resolves (or self-profiles) app's predictor. ctx is

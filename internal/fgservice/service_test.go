@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -47,6 +48,22 @@ func testServer(t *testing.T) *Server {
 		t.Fatalf("New: %v", err)
 	}
 	return s
+}
+
+// handleSelectBatch drives the /select/batch endpoint function with
+// nothing of the route pipeline around it — no limiter, deadline, trace
+// or metrics — for tests that observe the function's own completion. It
+// writes the positional response even when the batch was cut short (over
+// HTTP endpoint answers the 499/504 envelope instead), so those tests
+// see which items ran.
+func (s *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
+	var req SelectBatchRequest
+	if err := decodeJSON(r.Context(), w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	resp, _ := batchOf(s, s.selectReplica)(r.Context(), &req)
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 func postJSON(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
@@ -406,6 +423,33 @@ func TestThrottlingShedsLoad(t *testing.T) {
 	// With the slot free again, health must recover to ok/200.
 	if code := getPath(t, h, "/healthz").Code; code != http.StatusOK {
 		t.Fatalf("/healthz after load drained: status %d, want 200", code)
+	}
+}
+
+// TestRequestRunsOnCallerGoroutine pins the synchronous pipeline: while
+// a request is parked inside it (in the test delay), the process holds
+// exactly one goroutine more than before — the caller's own. No handler
+// goroutine is spawned per request.
+func TestRequestRunsOnCallerGoroutine(t *testing.T) {
+	s, err := New(Options{Store: testStore(t), MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.delay = 30 * time.Second
+	h := s.Handler()
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan int, 1)
+	go func() { done <- postJSONCtx(ctx, h, "/predict", goodPredict).Code }()
+	waitFor(t, time.Second, func() bool { return s.lim.saturated() })
+	if got := runtime.NumGoroutine(); got > before+1 {
+		t.Errorf("%d goroutines while one request is parked in the pipeline, %d before it: want at most one more (the caller)", got, before)
+	}
+	cancel()
+	if code := <-done; code != StatusClientClosedRequest {
+		t.Fatalf("canceled request: status %d, want 499", code)
 	}
 }
 

@@ -39,12 +39,12 @@ func spanChain(spans []reqtrace.SpanRecord, idx int) []string {
 	return names
 }
 
-// TestPredictBatchTraceTree is the acceptance test for the tentpole: a
-// /predict/batch request with a forced cache miss (fresh server, empty
-// store, so the item self-profiles) must produce a trace observable via
-// /debug/requests showing root → handler → per-item workpool spans →
-// cache fill → simulate, with every span inside the root's window, and
-// the response must carry X-FG-Request-ID.
+// TestPredictBatchTraceTree is the span-tree acceptance test: a
+// /predict/batch request on a fresh server with an empty store (so the
+// item self-profiles) must produce a trace observable via
+// /debug/requests showing root → handler → per-item workpool span →
+// simulate, with every span inside the root's window, and the response
+// must carry X-FG-Request-ID.
 func TestPredictBatchTraceTree(t *testing.T) {
 	// Empty store: kmeans self-profiles, so the trace includes the
 	// simulate span. Small BaseBytes keeps the profiling run fast.
@@ -108,7 +108,7 @@ func TestPredictBatchTraceTree(t *testing.T) {
 	}
 
 	// The acceptance chain: the self-profiling simulation hangs off the
-	// cache fill, which hangs off the batch item, under the handler.
+	// batch item, under the handler.
 	simIdx := -1
 	for i, sp := range spans {
 		if sp.Name == "simulate" {
@@ -120,7 +120,7 @@ func TestPredictBatchTraceTree(t *testing.T) {
 		t.Fatalf("no simulate span in trace: %+v", spans)
 	}
 	got := spanChain(spans, simIdx)
-	want := []string{"simulate", "fill", "item", "handler", "/predict/batch"}
+	want := []string{"simulate", "item", "handler", "/predict/batch"}
 	if len(got) != len(want) {
 		t.Fatalf("simulate chain %v, want %v", got, want)
 	}
@@ -130,8 +130,7 @@ func TestPredictBatchTraceTree(t *testing.T) {
 		}
 	}
 	// The item span carries its positional index and outcome.
-	itemIdx := spans[simIdx].Parent // fill
-	itemIdx = spans[itemIdx].Parent // item
+	itemIdx := spans[simIdx].Parent
 	if note := spans[itemIdx].Note; !strings.Contains(note, "i=0") || !strings.Contains(note, "ok") {
 		t.Errorf("item span note %q, want positional index and outcome", note)
 	}
@@ -140,7 +139,7 @@ func TestPredictBatchTraceTree(t *testing.T) {
 	for _, sp := range spans {
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"decode", "encode", "cache:predict"} {
+	for _, want := range []string{"decode", "encode"} {
 		if !names[want] {
 			t.Errorf("trace has no %q span: %+v", want, spans)
 		}
@@ -291,14 +290,13 @@ func (b replayBody) Read(p []byte) (int, error) { return b.r.Read(p) }
 func (b replayBody) Close() error               { return nil }
 
 // TestPredictWarmPathAllocs is the hot-path allocation gate for the
-// full middleware stack: a warm (cache-hit) singular /predict with
+// whole request pipeline: a singular /predict on a profiled app with
 // tracing disabled by sampling. The request-ID machinery contributes
-// exactly two of these allocations (the ID string and the shared
-// header value slice); the rest is the pre-existing request plumbing
-// (timeout context, buffered response, handler goroutine, decode and
-// encode scratch). The budget has modest headroom over the measured
-// cost so a regression that adds per-request garbage trips it while
-// scheduler jitter does not.
+// exactly two of these allocations (the ID string and its header value
+// slice), the deadline context three; the rest is decode and encode
+// scratch and the response value itself. Measured 35; the budget has
+// modest headroom so a regression that adds per-request garbage trips
+// it while scheduler jitter does not.
 func TestPredictWarmPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
@@ -308,7 +306,7 @@ func TestPredictWarmPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	// Warm the response cache so every measured run is a pure hit.
+	// Build the app's predictor so every measured run is the steady state.
 	if rec := postJSON(t, h, "/predict", goodPredict); rec.Code != http.StatusOK {
 		t.Fatalf("warmup status %d: %s", rec.Code, rec.Body)
 	}
@@ -322,7 +320,7 @@ func TestPredictWarmPathAllocs(t *testing.T) {
 		body.Seek(0, io.SeekStart)
 		h.ServeHTTP(w, req)
 	})
-	const budget = 48.0
+	const budget = 44.0
 	if per > budget {
 		t.Errorf("warm /predict allocates %.1f objects per request, want <= %.0f", per, budget)
 	}

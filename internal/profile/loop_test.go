@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"freerideg/internal/core"
 	"freerideg/internal/stats"
@@ -168,7 +169,7 @@ func TestConcurrentIngestAndPredict(t *testing.T) {
 }
 
 // TestSourceTracksStoreVersion checks the selector-facing predictor
-// source rebuilds only when the app's profile version moves.
+// source rebuilds only when the store's content version moves.
 func TestSourceTracksStoreVersion(t *testing.T) {
 	s, err := NewStore(staleDoc(), Options{MinSamples: 3, DisableAutoRecalibrate: true})
 	if err != nil {
@@ -207,5 +208,44 @@ func TestSourceTracksStoreVersion(t *testing.T) {
 
 	if _, err := s.NewSource("nope", core.AppModel{}).Predictor(); err == nil {
 		t.Fatal("source resolved a predictor for an unknown app")
+	}
+}
+
+// TestSourceFollowsSharedCalibration is the regression test for the
+// stale-predictor bug: link calibrations are store-wide and copied into
+// every app's predictor, so a link change must reach a Source whose own
+// app's version did not move.
+func TestSourceFollowsSharedCalibration(t *testing.T) {
+	s, err := NewStore(staleDoc(), Options{DisableAutoRecalibrate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := s.NewSource("kmeans", core.AppModel{})
+	before, err := src.Predictor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, appVer, _ := s.Snapshot().Find("kmeans")
+	link := core.LinkCalibration{W: 2e-8, L: 3 * time.Millisecond}
+	s.SeedLinks(map[string]core.LinkCalibration{"some-cluster": link})
+	if _, v, _ := s.Snapshot().Find("kmeans"); v != appVer {
+		t.Fatalf("SeedLinks moved the app version %d -> %d; the test needs it to stand still", appVer, v)
+	}
+	after, err := src.Predictor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after == before {
+		t.Fatal("source kept serving the pre-SeedLinks predictor")
+	}
+	if got := after.Links["some-cluster"]; got != link {
+		t.Fatalf("source predictor link = %+v, want %+v", got, link)
+	}
+	want, err := s.Snapshot().Predictor("kmeans", core.AppModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after.Links) != len(want.Links) {
+		t.Fatalf("source predictor has %d links, snapshot predictor %d", len(after.Links), len(want.Links))
 	}
 }

@@ -313,7 +313,10 @@ func scaleDur(d time.Duration, f float64) time.Duration {
 // Source adapts one application of the store to the grid selector's
 // predictor-source hook: every ranking round resolves the latest
 // snapshot, so recalibrations land in selection decisions without
-// rebuilding selectors. The built predictor is cached per app version.
+// rebuilding selectors. The built predictor is cached per store version
+// — not per app version: a predictor also carries the store-wide link
+// and scaling calibrations, which another app's samples can refit while
+// this app's own version stands still.
 type Source struct {
 	store *Store
 	app   string
@@ -333,10 +336,10 @@ func (s *Store) NewSource(app string, m core.AppModel) *Source {
 // version.
 func (src *Source) Predictor() (*core.Predictor, error) {
 	snap := src.store.Snapshot()
-	_, ver, ok := snap.Find(src.app)
-	if !ok {
+	if _, _, ok := snap.Find(src.app); !ok {
 		return nil, fmt.Errorf("profile: no profile for %q", src.app)
 	}
+	ver := snap.Version()
 	src.mu.Lock()
 	defer src.mu.Unlock()
 	if src.pred != nil && src.version == ver {

@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh — the repository's fast correctness gate: formatting, vet, a
 # module-wide race-detector run (the fault-injected goroutine backends
-# exercise real concurrency well beyond the middleware package), and a
+# exercise real concurrency well beyond the middleware package), a
 # fuzz seed-corpus regression pass (every Fuzz* target replayed against
-# its checked-in corpus, no new fuzzing).
+# its checked-in corpus, no new fuzzing), the command smokes, and the
+# tracked benchmark's own vet, tests and 1 s-per-workload smoke.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -18,7 +19,9 @@ fi
 go vet ./...
 
 # -shuffle=on randomizes test and subtest order so hidden inter-test
-# state dependencies surface instead of calcifying.
+# state dependencies surface instead of calcifying. The root package's
+# serve-plane differential test (default server vs. the cache-off,
+# trace-off reference, byte for byte) runs here under the race detector.
 go test -race -shuffle=on ./...
 
 # The serve path (response cache, handlers, load harness) gets a second
@@ -26,8 +29,8 @@ go test -race -shuffle=on ./...
 # a first run (cache entries, shared metric counters) breaks the second.
 go test -race -count=2 -shuffle=on ./internal/fgservice/ ./internal/servecache/ ./internal/loadgen/
 
-# Benchmark smoke pass: compile and run every Benchmark* exactly once so
-# the tracked perf suite can't rot between `make bench` refreshes.
+# Go benchmark smoke pass: compile and run every Benchmark* exactly once
+# so the microbenchmarks used while working on a layer can't rot.
 go test -run='^$' -bench=. -benchtime=1x ./...
 
 # Allocation gates (race-free on purpose: the race detector makes
@@ -42,9 +45,9 @@ go test -run='Allocs' ./internal/grid/ ./internal/fgservice/
 # taken under the locks, never while holding them.
 go test -race -run 'TestScrape' -count=1 ./internal/metrics/
 
-# Request-tracing smoke: the span-tree acceptance test (a forced-miss
-# /predict/batch trace shows root → handler → item → fill → simulate
-# and is retrievable from /debug/requests by its X-FG-Request-ID) plus
+# Request-tracing smoke: the span-tree acceptance test (a self-profiling
+# /predict/batch trace shows root → handler → item → simulate and is
+# retrievable from /debug/requests by its X-FG-Request-ID) plus
 # the reqtrace package under the race detector. The fgserved selfcheck
 # below re-proves the ID round-trip over real TCP.
 go test -race -run 'TestPredictBatchTraceTree|TestTimeoutEnvelopeCarriesRequestID' -count=1 ./internal/fgservice/
@@ -72,19 +75,25 @@ go run ./cmd/fgserved -selfcheck -base-size 64MB
 go run ./cmd/fgload -requests 120 -concurrency 6 -seed 1 -base-size 16MB -coherence-batches 2 -out /dev/null
 
 # Batch-plane smoke: fold /predict/batch and /select/batch into the mix
-# (per-item errors and per-item coherence are gated the same way) and
-# run a small batch-vs-sequential A/B over a loopback listener.
+# (per-item errors and per-item coherence are gated the same way).
 go run ./cmd/fgload -requests 120 -concurrency 6 -seed 1 -base-size 16MB -coherence-batches 2 \
-    -mix "predict=4,select=2,observe=1,runs=1,predictbatch=2,selectbatch=2" -batch-ab 16 -out /dev/null
+    -mix "predict=4,select=2,observe=1,runs=1,predictbatch=2,selectbatch=2" -out /dev/null
 
 # Cancellation smoke: the same seeded mix under a client deadline tight
 # enough to abandon requests mid-handling. -expect-timeouts keeps
 # 499/504 outcomes (the point of the run) and 503 shedding (timed-out
 # clients refire before abandoned slots unwind) from tripping the gate,
 # anything else still exits nonzero, and -goroutine-check asserts the
-# abandoned requests drained instead of stranding handler goroutines.
+# abandoned requests drained instead of stranding goroutines.
 go run ./cmd/fgload -requests 200 -concurrency 8 -seed 7 -base-size 16MB -client-timeout 2ms \
     -mix "predict=3,select=3,observe=1,runs=1,predictbatch=1,selectbatch=1" \
     -expect-timeouts -goroutine-check -out /dev/null
+
+# The tracked benchmark is a module of its own (benchmark/go.mod), so
+# nothing above descends into it: vet and test it where it lives, then
+# run every workload, untraced and traced, for 1 s with its correctness
+# oracles on (run.sh builds into .bench_build/).
+(cd benchmark && go vet . && go test .)
+sh benchmark/run.sh -smoke
 
 echo "check: OK"
