@@ -1,6 +1,7 @@
 package adr
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -172,7 +173,7 @@ func TestPartitionPropertyAllElementsAssignedOnce(t *testing.T) {
 		}
 		return perNode == spec.Elems()
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,82 +174,6 @@ func TestBatchFillsAndHitsResponseCache(t *testing.T) {
 	if got := hits.Value() - hb; got != 1 {
 		t.Fatalf("singular request after batch did not hit the cache (hits moved %v)", got)
 	}
-}
-
-// TestBatchSelectCoherenceUnderEpochBumps extends the serve-path
-// coherence guarantee to the batch plane: while recalibrations land
-// concurrently, no batch item may answer from a store snapshot older
-// than the last recalibration that completed before its batch was sent.
-func TestBatchSelectCoherenceUnderEpochBumps(t *testing.T) {
-	// A roomy concurrency bound: this test measures coherence, not the
-	// load-shedding limiter (which would 503 the writer on small hosts).
-	s, err := New(Options{Store: testStore(t), MaxInFlight: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-
-	var floor atomic.Uint64
-	stop := make(chan struct{})
-	var writer sync.WaitGroup
-	writer.Add(1)
-	go func() {
-		defer writer.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			halveProfile(t, s)
-			floor.Store(s.store.Snapshot().Version())
-			// Interleave estimator bumps so the select-cache version moves
-			// through both of its components.
-			ob := fmt.Sprintf(`{"site":"osu-repository","cluster":"pentium-myrinet",`+
-				`"bytes":"%dMB","elapsed":"%dms"}`, 5+i%7, 400+50*(i%9))
-			if rec := postJSON(t, h, "/observe", ob); rec.Code != http.StatusOK {
-				t.Errorf("/observe status %d: %s", rec.Code, rec.Body)
-				return
-			}
-		}
-	}()
-
-	body := `{"items":[{"app":"kmeans","size":"512MB"},{"app":"kmeans","size":"512MB","limit":1},` +
-		`{"app":"kmeans","size":"256MB"}]}`
-	var readers sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for i := 0; i < 25; i++ {
-				min := floor.Load()
-				rec := postJSON(t, h, "/select/batch", body)
-				if rec.Code != http.StatusOK {
-					t.Errorf("/select/batch status %d: %s", rec.Code, rec.Body)
-					return
-				}
-				var resp SelectBatchResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-					t.Error(err)
-					return
-				}
-				for j, item := range resp.Items {
-					if item.Error != nil {
-						t.Errorf("item %d failed: %+v", j, item.Error)
-						return
-					}
-					if item.Response.StoreVersion < min {
-						t.Errorf("item %d served store version %d < recalibration floor %d",
-							j, item.Response.StoreVersion, min)
-						return
-					}
-				}
-			}
-		}()
-	}
-	readers.Wait()
-	close(stop)
-	writer.Wait()
 }
 
 // TestCutShortBatchAnswersEnvelope pins what a batch its context cut

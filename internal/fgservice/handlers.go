@@ -410,9 +410,9 @@ func badRequest(err error) error { return withStatus(http.StatusBadRequest, err)
 // predict is POST /predict and one /predict/batch item: validate, resolve
 // the app's predictor (which may self-profile an unknown app), and run
 // the prediction arithmetic. There is no response cache in front of it —
-// the arithmetic is cheaper than a cache lookup. StoreVersion is read
-// before the predictor is resolved, so it never claims a newer snapshot
-// than the one the prediction used.
+// the arithmetic is cheaper than a cache lookup. StoreVersion is the
+// version of the snapshot the predictor was built from, so the answer's
+// values are exactly that version's calibration.
 func (s *Server) predict(ctx context.Context, req *PredictRequest) (PredictResponse, error) {
 	v, err := s.requestVariant(req.Variant)
 	if err != nil {
@@ -428,8 +428,7 @@ func (s *Server) predict(ctx context.Context, req *PredictRequest) (PredictRespo
 	if _, err := apps.Get(req.App); err != nil {
 		return PredictResponse{}, withStatus(http.StatusNotFound, err)
 	}
-	ver := s.store.Snapshot().Version()
-	pred, err := s.predictor(ctx, req.App)
+	pred, ver, err := s.predictor(ctx, req.App)
 	if err != nil {
 		return PredictResponse{}, withStatus(http.StatusInternalServerError, err)
 	}
@@ -518,7 +517,7 @@ func (s *Server) computeSelect(ctx context.Context, app string, v core.Variant, 
 		return SelectResponse{}, badRequest(err)
 	}
 	// Ensures the app is profiled and in the store before ranking.
-	if _, err := s.predictor(ctx, app); err != nil {
+	if _, _, err := s.predictor(ctx, app); err != nil {
 		return SelectResponse{}, withStatus(http.StatusInternalServerError, err)
 	}
 	// The cached source resolves the store's latest snapshot per ranking

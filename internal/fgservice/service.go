@@ -143,20 +143,21 @@ type predEntry struct {
 	err     error
 }
 
-// wait returns the entry's outcome, giving up when ctx ends first. A
-// built entry answers without touching ctx.Done, which would allocate
-// the request context's channel on every hot request.
-func (e *predEntry) wait(ctx context.Context) (*core.Predictor, error) {
+// wait returns the entry's outcome and the store version it was built
+// from, giving up when ctx ends first. A built entry answers without
+// touching ctx.Done, which would allocate the request context's channel
+// on every hot request.
+func (e *predEntry) wait(ctx context.Context) (*core.Predictor, uint64, error) {
 	select {
 	case <-e.done:
-		return e.pred, e.err
+		return e.pred, e.version, e.err
 	default:
 	}
 	select {
 	case <-e.done:
-		return e.pred, e.err
+		return e.pred, e.version, e.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
 }
 
@@ -331,12 +332,12 @@ func (s *Server) Estimator() *grid.BandwidthEstimator { return s.est }
 func (s *Server) Store() *profile.Store { return s.store }
 
 // predictor returns the predictor for app at the store's current
-// snapshot version. Unknown apps are profiled once by a simulated run
-// of the base configuration and adopted into the store; any content
-// change — a recalibration of this app, but also a link or scaling
-// refit landed by another app's samples — moves the snapshot version,
-// so the stale cache entry is rebuilt from the fresh snapshot on the
-// next request. (Pinning to the per-app version would miss those
+// snapshot version, and that version. Unknown apps are profiled once by
+// a simulated run of the base configuration and adopted into the store;
+// any content change — a recalibration of this app, but also a link or
+// scaling refit landed by another app's samples — moves the snapshot
+// version, so the stale cache entry is rebuilt from the fresh snapshot
+// on the next request. (Pinning to the per-app version would miss those
 // shared-calibration changes.)
 //
 // ctx bounds only this caller's wait. The build itself — profiling
@@ -344,10 +345,10 @@ func (s *Server) Store() *profile.Store { return s.store }
 // lands in the store either way, so a request that times out while the
 // app self-profiles does not poison the coalesced waiters (or the next
 // request) with its cancellation, and the work is never repeated.
-func (s *Server) predictor(ctx context.Context, app string) (*core.Predictor, error) {
+func (s *Server) predictor(ctx context.Context, app string) (*core.Predictor, uint64, error) {
 	a, err := apps.Get(app)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	snap := s.store.Snapshot()
 	_, _, known := snap.Find(app)
@@ -371,13 +372,14 @@ func (s *Server) predictor(ctx context.Context, app string) (*core.Predictor, er
 	// whose latency that profiling run explains.
 	bctx := reqtrace.Adopt(context.Background(), ctx)
 	go func() {
-		e.pred, e.err = s.buildPredictor(bctx, app, a.Model, snap, known)
+		var ver uint64
+		e.pred, ver, e.err = s.buildPredictor(bctx, app, a.Model, snap, known)
 		if e.err == nil && !known {
-			// Adoption advanced the store; pin the entry to the
-			// post-adoption snapshot. Concurrent requests read e.version
-			// under mu, so write it there too.
+			// Adoption advanced the store; pin the entry to the snapshot
+			// the predictor was built from. Concurrent requests read
+			// e.version under mu, so write it there too.
 			s.mu.Lock()
-			e.version = s.store.Snapshot().Version()
+			e.version = ver
 			s.mu.Unlock()
 		}
 		close(e.done)
@@ -395,30 +397,31 @@ func (s *Server) predictor(ctx context.Context, app string) (*core.Predictor, er
 	return e.wait(ctx)
 }
 
-// buildPredictor resolves (or self-profiles) app's predictor. ctx is
-// deadline-free by construction — the caller detaches it so no single
-// request can abort the shared profiling run half-way — but may carry a
-// request trace, attributing the simulation span to the request that
-// triggered it.
-func (s *Server) buildPredictor(ctx context.Context, app string, m core.AppModel, snap *profile.Snapshot, known bool) (*core.Predictor, error) {
-	if known {
-		return snap.Predictor(app, m)
+// buildPredictor resolves (or self-profiles) app's predictor and reports
+// the version of the snapshot it was built from. ctx is deadline-free by
+// construction — the caller detaches it so no single request can abort
+// the shared profiling run half-way — but may carry a request trace,
+// attributing the simulation span to the request that triggered it.
+func (s *Server) buildPredictor(ctx context.Context, app string, m core.AppModel, snap *profile.Snapshot, known bool) (*core.Predictor, uint64, error) {
+	if !known {
+		cfg := core.Config{
+			Cluster:      bench.PentiumCluster,
+			DataNodes:    s.opts.BaseDataNodes,
+			ComputeNodes: s.opts.BaseComputeNodes,
+			Bandwidth:    s.opts.BaseBandwidth,
+			DatasetBytes: s.opts.BaseBytes,
+		}
+		res, err := s.harness.Simulate(ctx, app, s.opts.BaseBytes, bench.ChunkFor(s.opts.BaseBytes), cfg)
+		if err != nil {
+			return nil, 0, fmt.Errorf("fgservice: profiling %s: %w", app, err)
+		}
+		if _, err := s.store.Ingest(profile.FromProfile(res.Profile)); err != nil {
+			return nil, 0, fmt.Errorf("fgservice: adopting %s profile: %w", app, err)
+		}
+		snap = s.store.Snapshot()
 	}
-	cfg := core.Config{
-		Cluster:      bench.PentiumCluster,
-		DataNodes:    s.opts.BaseDataNodes,
-		ComputeNodes: s.opts.BaseComputeNodes,
-		Bandwidth:    s.opts.BaseBandwidth,
-		DatasetBytes: s.opts.BaseBytes,
-	}
-	res, err := s.harness.Simulate(ctx, app, s.opts.BaseBytes, bench.ChunkFor(s.opts.BaseBytes), cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fgservice: profiling %s: %w", app, err)
-	}
-	if _, err := s.store.Ingest(profile.FromProfile(res.Profile)); err != nil {
-		return nil, fmt.Errorf("fgservice: adopting %s profile: %w", app, err)
-	}
-	return s.store.Snapshot().Predictor(app, m)
+	pred, err := snap.Predictor(app, m)
+	return pred, snap.Version(), err
 }
 
 // pathBandwidth resolves a site→cluster path's b̂: the estimator's live

@@ -451,9 +451,11 @@ func loadDocument(path string) (Document, error) {
 	return doc, nil
 }
 
-// writeDocument writes a document atomically: marshal, write to a temp
-// file in the destination directory, rename over the target. Readers
-// never observe a partially written store.
+// writeDocument writes a document atomically and durably: marshal, write
+// and fsync a temp file in the destination directory, rename it over the
+// target, fsync the directory. Readers never observe a partially written
+// store, and after a crash the target holds the old document or the new
+// one, never a torn or empty file.
 func writeDocument(path string, doc Document) error {
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -466,18 +468,32 @@ func writeDocument(path string, doc Document) error {
 		return err
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmpName, path)
+	}
+	if err != nil {
 		os.Remove(tmpName)
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }

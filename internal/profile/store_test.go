@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -394,6 +396,89 @@ func TestWriteDocumentLeavesNoTempFilesBehind(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory has %d entries, want 1", len(entries))
+	}
+}
+
+// TestDamagedStoreFileLoadsNothing: a truncated or corrupt store file
+// fails to load as a whole. Open returns no store, and Reload leaves the
+// live store on the snapshot it already served.
+func TestDamagedStoreFileLoadsNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "profiles.json")
+	s, err := Create(path, staleDoc(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := bytes.Clone(good)
+	corrupt[len(corrupt)/2] = 0 // a NUL is invalid anywhere in JSON
+	negative := staleDoc()
+	negative.Profiles[0].Tdisk = -time.Second
+	invalid, err := json.Marshal(Document{ProfileStore: negative, Version: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated", good[:len(good)/2]},
+		{"corrupt", corrupt},
+		{"invalid profile", invalid},
+	} {
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Open(path, Options{}); err == nil || got != nil {
+			t.Errorf("%s: Open = %v, %v; want no store and an error", c.name, got, err)
+		}
+		before := s.Snapshot()
+		if err := s.Reload(); err == nil {
+			t.Errorf("%s: Reload accepted the damaged file", c.name)
+		}
+		if after := s.Snapshot(); after != before {
+			t.Errorf("%s: a failed Reload published a new snapshot (version %d -> %d)", c.name, before.Version(), after.Version())
+		}
+	}
+}
+
+// TestSaveAsFailureLeavesNoTrace: a SaveAs whose rename fails (the
+// target is an existing directory) reports the error, leaves the store's
+// own file byte-identical and removes its temp file.
+func TestSaveAsFailureLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "profiles.json")
+	s, err := Create(path, staleDoc(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest(observeTruth(t, sampleConfigs()[0])); err != nil {
+		t.Fatal(err)
+	}
+	target := filepath.Join(dir, "taken")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveAs(target); err == nil {
+		t.Fatal("SaveAs onto an existing directory succeeded")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the store's file changed under a failed SaveAs (read error %v)", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".profiles-") {
+			t.Errorf("temp file left behind: %s", e.Name())
+		}
 	}
 }
 

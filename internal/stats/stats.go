@@ -72,20 +72,6 @@ func Min(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. Samples containing NaN or ±Inf
 // are rejected with ErrNonFinite: sort.Float64s places NaNs arbitrarily,

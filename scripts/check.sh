@@ -3,7 +3,7 @@
 # module-wide race-detector run (the fault-injected goroutine backends
 # exercise real concurrency well beyond the middleware package), a
 # fuzz seed-corpus regression pass (every Fuzz* target replayed against
-# its checked-in corpus, no new fuzzing), the command smokes, and the
+# its checked-in corpus, no new fuzzing), the fgserved smoke, and the
 # tracked benchmark's own vet, tests and 1 s-per-workload smoke.
 set -eu
 
@@ -24,10 +24,15 @@ go vet ./...
 # trace-off reference, byte for byte) runs here under the race detector.
 go test -race -shuffle=on ./...
 
-# The serve path (response cache, handlers, load harness) gets a second
-# racing pass: -count=2 reruns every test in-process so state leaked by
-# a first run (cache entries, shared metric counters) breaks the second.
-go test -race -count=2 -shuffle=on ./internal/fgservice/ ./internal/servecache/ ./internal/loadgen/
+# The serve path (response cache, handlers) gets a second racing pass:
+# -count=2 reruns every test in-process so state leaked by a first run
+# (cache entries, shared metric counters) breaks the second. This is
+# also where the serve-plane soaks run under the race detector:
+# TestCoherenceSoak (reads checked by value against the calibration of
+# the store version they carry while recalibrations land) and
+# TestCancellationSoak (only 499/504/503 under tight client deadlines,
+# and every goroutine drains afterwards).
+go test -race -count=2 -shuffle=on ./internal/fgservice/ ./internal/servecache/
 
 # Go benchmark smoke pass: compile and run every Benchmark* exactly once
 # so the microbenchmarks used while working on a layer can't rot.
@@ -67,27 +72,6 @@ go build ./cmd/...
 # envelopes echo it as requestId), and shut down gracefully. A small
 # base size keeps the self-profiling simulation quick.
 go run ./cmd/fgserved -selfcheck -base-size 64MB
-
-# fgload smoke: a short seeded load run with interleaved recalibrations
-# against an in-process server. fgload exits nonzero on any transport
-# error, 5xx, or cache-coherence violation, so this line is the gate
-# that the serve-path cache stays coherent under concurrent load.
-go run ./cmd/fgload -requests 120 -concurrency 6 -seed 1 -base-size 16MB -coherence-batches 2 -out /dev/null
-
-# Batch-plane smoke: fold /predict/batch and /select/batch into the mix
-# (per-item errors and per-item coherence are gated the same way).
-go run ./cmd/fgload -requests 120 -concurrency 6 -seed 1 -base-size 16MB -coherence-batches 2 \
-    -mix "predict=4,select=2,observe=1,runs=1,predictbatch=2,selectbatch=2" -out /dev/null
-
-# Cancellation smoke: the same seeded mix under a client deadline tight
-# enough to abandon requests mid-handling. -expect-timeouts keeps
-# 499/504 outcomes (the point of the run) and 503 shedding (timed-out
-# clients refire before abandoned slots unwind) from tripping the gate,
-# anything else still exits nonzero, and -goroutine-check asserts the
-# abandoned requests drained instead of stranding goroutines.
-go run ./cmd/fgload -requests 200 -concurrency 8 -seed 7 -base-size 16MB -client-timeout 2ms \
-    -mix "predict=3,select=3,observe=1,runs=1,predictbatch=1,selectbatch=1" \
-    -expect-timeouts -goroutine-check -out /dev/null
 
 # The tracked benchmark is a module of its own (benchmark/go.mod), so
 # nothing above descends into it: vet and test it where it lives, then
