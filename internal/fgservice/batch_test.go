@@ -355,7 +355,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 
 	b.Run("batch-64", func(b *testing.B) {
-		h := benchServer(b).Handler()
+		h := benchServer(b, Options{}).Handler()
 		post(b, h, "/predict/batch", batchBody)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -364,7 +364,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 		}
 	})
 	b.Run("sequential-64", func(b *testing.B) {
-		h := benchServer(b).Handler()
+		h := benchServer(b, Options{}).Handler()
 		for _, item := range items {
 			post(b, h, "/predict", item)
 		}
@@ -399,7 +399,7 @@ func BenchmarkSelectBatch(b *testing.B) {
 	}
 
 	b.Run("batch-64", func(b *testing.B) {
-		h := benchServer(b).Handler()
+		h := benchServer(b, Options{}).Handler()
 		post(b, h, "/select/batch", batchBody)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -408,7 +408,7 @@ func BenchmarkSelectBatch(b *testing.B) {
 		}
 	})
 	b.Run("sequential-64", func(b *testing.B) {
-		h := benchServer(b).Handler()
+		h := benchServer(b, Options{}).Handler()
 		for _, item := range items {
 			post(b, h, "/select", item)
 		}

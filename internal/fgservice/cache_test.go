@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +50,66 @@ func TestRecalibrationVisibleInNextPredict(t *testing.T) {
 	}
 }
 
+// TestSelfProfiledAnswerStampsItsSnapshot: the test store holds only
+// kmeans, so the first read for em self-profiles it and adopts the
+// profile, moving the store version. The answer must carry the version
+// whose snapshot holds the adopted em, and every value must be what a
+// fresh predictor of that snapshot gives — not a version stamped before
+// the adoption on values computed after it.
+func TestSelfProfiledAnswerStampsItsSnapshot(t *testing.T) {
+	sel := `{"app":"em","size":"64MB"}`
+	for _, tc := range []struct{ path, body string }{
+		{"/select", sel},
+		{"/select/batch", `{"items":[` + sel + `,` + sel + `]}`},
+		{"/predict", `{"app":"em","config":{"cluster":"pentium-myrinet","dataNodes":1,"computeNodes":2,` +
+			`"bandwidth":"100MB","datasetBytes":"64MB"}}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/"), func(t *testing.T) {
+			s, err := New(Options{Store: testStore(t), BaseBytes: 8 * units.MB})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := postJSON(t, s.Handler(), tc.path, tc.body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s status %d: %s", tc.path, rec.Code, rec.Body)
+			}
+			snap := s.Store().Snapshot()
+			if _, _, ok := snap.Find("em"); !ok {
+				t.Fatal("em was not adopted")
+			}
+			pred, err := snap.Predictor("em", AppModelLookup("em"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var vers []uint64
+			if tc.path == "/predict" {
+				for _, got := range servedAnswers[PredictResponse](t, tc.path, rec.Body.Bytes()) {
+					want, err := pred.Predict(got.Config, core.GlobalReduction)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Tdisk != want.Tdisk || got.Tnetwork != want.Tnetwork || got.Tcompute != want.Tcompute ||
+						got.Texec != want.Texec() {
+						t.Errorf("/predict served %v/%v/%v, store version %d predicts %v/%v/%v", got.Tdisk, got.Tnetwork,
+							got.Tcompute, snap.Version(), want.Tdisk, want.Tnetwork, want.Tcompute)
+					}
+					vers = append(vers, got.StoreVersion)
+				}
+			} else {
+				for _, a := range servedAnswers[SelectResponse](t, tc.path, rec.Body.Bytes()) {
+					checkRanking(t, tc.path, pred, core.GlobalReduction, a)
+					vers = append(vers, a.StoreVersion)
+				}
+			}
+			for _, v := range vers {
+				if v != snap.Version() {
+					t.Errorf("%s stamped store version %d; em was adopted at %d", tc.path, v, snap.Version())
+				}
+			}
+		})
+	}
+}
+
 // TestObserveInvalidatesSelectCache: selection answers depend on the
 // live bandwidth estimator, so an accepted /observe must stop cached
 // rankings from being served.
@@ -76,6 +137,36 @@ func TestObserveInvalidatesSelectCache(t *testing.T) {
 	}
 	if first.Body.String() == second.Body.String() {
 		t.Fatal("observations did not invalidate the cached ranking")
+	}
+}
+
+// TestSelectVersionIsThePair: the select cache's version identifies the
+// exact (snapshot version, estimator epoch) pair — (1, 1) and (2, 0)
+// stay apart — and a half past 32 bits turns the cache off for the
+// request instead of spilling into the other half.
+func TestSelectVersionIsThePair(t *testing.T) {
+	a, okA := selectVersion(1, 1)
+	b, okB := selectVersion(2, 0)
+	if !okA || !okB || a == b {
+		t.Fatalf("selectVersion(1, 1) = %d, %v; selectVersion(2, 0) = %d, %v", a, okA, b, okB)
+	}
+	for _, p := range [][2]uint64{{1 << 32, 0}, {0, 1 << 32}} {
+		if v, ok := selectVersion(p[0], p[1]); ok {
+			t.Errorf("selectVersion(%#x, %#x) = %#x, want not ok", p[0], p[1], v)
+		}
+	}
+
+	s := testServer(t)
+	s.estEpoch.Store(1 << 32)
+	misses := cacheCounter(t, "fg_servecache_misses_total", "select")
+	m0 := misses.Value()
+	for range 2 {
+		if _, err := s.selectReplica(context.Background(), &SelectRequest{App: "kmeans", Size: "512MB"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := misses.Value() - m0; got != 0 {
+		t.Fatalf("select cache consulted with a 33-bit epoch: misses moved %v", got)
 	}
 }
 
@@ -143,15 +234,20 @@ func TestDisableCacheRecomputes(t *testing.T) {
 
 // TestCacheHitLatencyAdvantage is the ≥5× acceptance measurement at the
 // service layer (no HTTP encode/decode noise): the median cached read
-// must be at least 5× faster than the median cold computation.
+// must be at least 5× faster than the median read of the same request on
+// a DisableCache server — the path the cache saves against.
 func TestCacheHitLatencyAdvantage(t *testing.T) {
 	s := testServer(t)
-	app, v := "kmeans", core.GlobalReduction
-	total := 512 * units.MB
-	req := &SelectRequest{App: app, Size: "512MB"}
-	// Prime.
-	if _, err := s.selectReplica(context.Background(), req); err != nil {
+	ref, err := New(Options{Store: testStore(t), DisableCache: true})
+	if err != nil {
 		t.Fatal(err)
+	}
+	req := &SelectRequest{App: "kmeans", Size: "512MB"}
+	// Prime both: the cache entry and the reference server's rank tables.
+	for _, srv := range []*Server{s, ref} {
+		if _, err := srv.selectReplica(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const iters = 300
 	median := func(f func()) time.Duration {
@@ -169,9 +265,8 @@ func TestCacheHitLatencyAdvantage(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	ver := s.store.Snapshot().Version()
 	cold := median(func() {
-		if _, err := s.computeSelect(context.Background(), app, v, total, 0, ver); err != nil {
+		if _, err := ref.selectReplica(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -234,7 +329,9 @@ func predictResponseOf(t *testing.T, h http.Handler, body string) PredictRespons
 	return resp
 }
 
-func benchServer(b *testing.B) *Server {
+// benchServer builds a server over the test store; opts.Store is
+// overwritten.
+func benchServer(b *testing.B, opts Options) *Server {
 	b.Helper()
 	doc, err := core.LoadStore("testdata/store.json")
 	if err != nil {
@@ -244,7 +341,8 @@ func benchServer(b *testing.B) *Server {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(Options{Store: store})
+	opts.Store = store
+	s, err := New(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -254,7 +352,7 @@ func benchServer(b *testing.B) *Server {
 // BenchmarkPredict is the typed /predict function alone: validation,
 // predictor lookup, arithmetic — no HTTP, no JSON.
 func BenchmarkPredict(b *testing.B) {
-	s := benchServer(b)
+	s := benchServer(b, Options{})
 	req := &PredictRequest{App: "kmeans", Config: ConfigRequest{Cluster: "pentium-myrinet",
 		DataNodes: 1, ComputeNodes: 2, Bandwidth: "100MB", DatasetBytes: "1GB"}}
 	b.ReportAllocs()
@@ -267,9 +365,9 @@ func BenchmarkPredict(b *testing.B) {
 
 // BenchmarkSelectWarm / BenchmarkSelectCold quantify the /select
 // response cache: the typed function on a resident entry against the
-// ranking path it skips.
+// same function on a DisableCache server, the ranking path it skips.
 func BenchmarkSelectWarm(b *testing.B) {
-	s := benchServer(b)
+	s := benchServer(b, Options{})
 	req := &SelectRequest{App: "kmeans", Size: "512MB"}
 	if _, err := s.selectReplica(context.Background(), req); err != nil {
 		b.Fatal(err)
@@ -284,11 +382,11 @@ func BenchmarkSelectWarm(b *testing.B) {
 }
 
 func BenchmarkSelectCold(b *testing.B) {
-	s := benchServer(b)
-	ver := s.store.Snapshot().Version()
+	s := benchServer(b, Options{DisableCache: true})
+	req := &SelectRequest{App: "kmeans", Size: "512MB"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.computeSelect(context.Background(), "kmeans", core.GlobalReduction, 512*units.MB, 0, ver); err != nil {
+		if _, err := s.selectReplica(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -237,8 +237,10 @@ type HealthResponse struct {
 	Reason        string   `json:"reason,omitempty"`
 	UptimeSeconds float64  `json:"uptimeSeconds"`
 	Apps          []string `json:"apps"`
-	ProfiledApps  int      `json:"profiledApps"`
-	StoreVersion  uint64   `json:"storeVersion"`
+	// ProfiledApps counts the apps the store holds a profile for, in the
+	// snapshot StoreVersion names.
+	ProfiledApps int    `json:"profiledApps"`
+	StoreVersion uint64 `json:"storeVersion"`
 }
 
 // apiError is the JSON error envelope every handler uses: the message,
@@ -411,7 +413,7 @@ func badRequest(err error) error { return withStatus(http.StatusBadRequest, err)
 // the app's predictor (which may self-profile an unknown app), and run
 // the prediction arithmetic. There is no response cache in front of it —
 // the arithmetic is cheaper than a cache lookup. StoreVersion is the
-// version of the snapshot the predictor was built from, so the answer's
+// version of the snapshot the predictor belongs to, so the answer's
 // values are exactly that version's calibration.
 func (s *Server) predict(ctx context.Context, req *PredictRequest) (PredictResponse, error) {
 	v, err := s.requestVariant(req.Variant)
@@ -425,10 +427,11 @@ func (s *Server) predict(ctx context.Context, req *PredictRequest) (PredictRespo
 	if err := cfg.Validate(); err != nil {
 		return PredictResponse{}, badRequest(err)
 	}
-	if _, err := apps.Get(req.App); err != nil {
+	a, err := apps.Get(req.App)
+	if err != nil {
 		return PredictResponse{}, withStatus(http.StatusNotFound, err)
 	}
-	pred, ver, err := s.predictor(ctx, req.App)
+	pred, snap, err := s.predictor(ctx, req.App, a.Model)
 	if err != nil {
 		return PredictResponse{}, withStatus(http.StatusInternalServerError, err)
 	}
@@ -439,7 +442,7 @@ func (s *Server) predict(ctx context.Context, req *PredictRequest) (PredictRespo
 	return PredictResponse{
 		App:          req.App,
 		Variant:      v.String(),
-		StoreVersion: ver,
+		StoreVersion: snap.Version(),
 		Config:       cfg,
 		Tdisk:        p.Tdisk,
 		Tnetwork:     p.Tnetwork,
@@ -453,12 +456,13 @@ func (s *Server) predict(ctx context.Context, req *PredictRequest) (PredictRespo
 }
 
 // selectReplica is POST /select and one /select/batch item: validate,
-// then serve the ranking through the response cache. A ranking depends
-// on the profile store and on the live bandwidth estimator, so the cache
-// version is the snapshot version plus the observation epoch (see
-// Server.estEpoch for why the sum is sound). ctx bounds only this
-// request's wait; a fill another request depends on is never canceled
-// by it.
+// resolve the app's predictor and snapshot once, then serve the ranking
+// through the response cache. The ranking, the stamped StoreVersion and
+// the cache entry all come from that one snapshot. A ranking also
+// depends on the live bandwidth estimator, so the entry is pinned to the
+// pair (snapshot version, observation epoch); see selectVersion. ctx
+// bounds only this request's wait; a fill another request depends on is
+// never canceled by it.
 func (s *Server) selectReplica(ctx context.Context, req *SelectRequest) (SelectResponse, error) {
 	v, err := s.requestVariant(req.Variant)
 	if err != nil {
@@ -475,24 +479,29 @@ func (s *Server) selectReplica(ctx context.Context, req *SelectRequest) (SelectR
 			return SelectResponse{}, badRequest(fmt.Errorf("deadline %q: want a positive Go duration", req.Deadline))
 		}
 	}
-	if _, err := apps.Get(req.App); err != nil {
+	a, err := apps.Get(req.App)
+	if err != nil {
 		return SelectResponse{}, withStatus(http.StatusNotFound, err)
 	}
-	ver := s.store.Snapshot().Version()
+	pred, snap, err := s.predictor(ctx, req.App, a.Model)
+	if err != nil {
+		return SelectResponse{}, withStatus(http.StatusInternalServerError, err)
+	}
 	var resp SelectResponse
-	if s.selectCache == nil {
-		resp, err = s.computeSelect(ctx, req.App, v, total, deadline, ver)
-	} else {
-		resp, err = s.selectCache.Get(ctx, selectKey(req.App, v, total, deadline), ver+s.estEpoch.Load(),
+	if ver, ok := selectVersion(snap.Version(), s.estEpoch.Load()); s.selectCache != nil && ok {
+		resp, err = s.selectCache.Get(ctx, selectKey(req.App, v, total, deadline), ver,
 			func(ctx context.Context) (SelectResponse, error) {
-				return s.computeSelect(ctx, req.App, v, total, deadline, ver)
+				return s.computeSelect(ctx, req.App, pred, v, total, deadline)
 			})
+	} else {
+		resp, err = s.computeSelect(ctx, req.App, pred, v, total, deadline)
 	}
 	if err != nil {
 		return SelectResponse{}, err
 	}
-	// resp is a copy of the (possibly cached, shared) value; Limit
-	// truncates only this request's view of the ranking.
+	// resp is a copy of the (possibly cached, shared) value; the stamp
+	// and Limit touch only this request's view of the ranking.
+	resp.StoreVersion = snap.Version()
 	if req.Limit > 0 && req.Limit < len(resp.Candidates) {
 		resp.Candidates = resp.Candidates[:req.Limit]
 	}
@@ -505,28 +514,35 @@ func selectKey(app string, v core.Variant, total units.Bytes, deadline time.Dura
 	return fmt.Sprintf("%s|%s|%d|%d", app, v, int64(total), int64(deadline))
 }
 
+// selectVersion packs the pair a cached ranking depends on — the
+// snapshot version in the high half, the estimator epoch in the low —
+// into the one version the cache pins an entry to. The two are read at
+// different moments, so only the exact pair identifies what a ranking
+// was computed from; any value both halves could reach together (their
+// sum, say) lets a filler that read an old version and a new epoch
+// answer a reader that read the reverse. Packing, rather than rendering
+// the epoch into the key, keeps one entry per request key, replaced in
+// place when either half moves. ok is false once a half outgrows 32
+// bits; the caller then ranks uncached.
+func selectVersion(snapVersion, epoch uint64) (v uint64, ok bool) {
+	if snapVersion>>32 != 0 || epoch>>32 != 0 {
+		return 0, false
+	}
+	return snapVersion<<32 | epoch, true
+}
+
 // computeSelect is the cold path: resolve the dataset's persistent
 // selection service, refresh its live bandwidths, and rank — or, with a
-// deadline, capacity-plan — the candidates on the shared incremental
-// rank engine. The per-dataset service mutex serializes refresh+rank,
-// so the engine never sees a half-updated topology; the engine reuses
-// every cached prediction whose bandwidth and predictor are unchanged.
-func (s *Server) computeSelect(ctx context.Context, app string, v core.Variant, total units.Bytes, deadline time.Duration, ver uint64) (SelectResponse, error) {
+// deadline, capacity-plan — the candidates with pred on the shared
+// incremental rank engine. The per-dataset service mutex serializes
+// refresh+rank, so the engine never sees a half-updated topology; the
+// engine reuses every cached prediction whose bandwidth and predictor
+// pointer are unchanged. The response is left unstamped: the caller
+// knows the snapshot pred came from.
+func (s *Server) computeSelect(ctx context.Context, app string, pred *core.Predictor, v core.Variant, total units.Bytes, deadline time.Duration) (SelectResponse, error) {
 	spec, err := bench.Dataset(app, total)
 	if err != nil {
 		return SelectResponse{}, badRequest(err)
-	}
-	// Ensures the app is profiled and in the store before ranking.
-	if _, _, err := s.predictor(ctx, app); err != nil {
-		return SelectResponse{}, withStatus(http.StatusInternalServerError, err)
-	}
-	// The cached source resolves the store's latest snapshot per ranking
-	// round — a recalibration between requests re-ranks with fresh
-	// profiles — while keeping the predictor pointer stable per version,
-	// which is the engine's recompute-everything signal.
-	pred, err := s.source(app).Predictor()
-	if err != nil {
-		return SelectResponse{}, withStatus(http.StatusInternalServerError, err)
 	}
 	ss, err := s.selectionService(spec)
 	if err != nil {
@@ -554,7 +570,7 @@ func (s *Server) computeSelect(ctx context.Context, app string, v core.Variant, 
 	if err != nil {
 		return SelectResponse{}, withStatus(statusForRankError(err), err)
 	}
-	resp := SelectResponse{App: app, Dataset: spec.Name, StoreVersion: ver, Size: total}
+	resp := SelectResponse{App: app, Dataset: spec.Name, Size: total}
 	if deadline > 0 {
 		cand, err := grid.PlanFromRanked(ranked, deadline)
 		if err != nil {
@@ -650,15 +666,13 @@ func (s *Server) profiles(_ context.Context, w http.ResponseWriter, _ *http.Requ
 // healthz is GET /healthz. A degraded answer is a 503 carrying the same
 // HealthResponse body, not an error envelope.
 func (s *Server) healthz(_ context.Context, w http.ResponseWriter, _ *http.Request) int {
-	s.mu.Lock()
-	profiled := len(s.preds)
-	s.mu.Unlock()
+	snap := s.store.Snapshot()
 	resp := HealthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Apps:          apps.Names(),
-		ProfiledApps:  profiled,
-		StoreVersion:  s.store.Snapshot().Version(),
+		ProfiledApps:  len(snap.Doc().Profiles),
+		StoreVersion:  snap.Version(),
 	}
 	code := http.StatusOK
 	switch {

@@ -194,8 +194,8 @@ func TestRunsAdoptsUnknownAppProfile(t *testing.T) {
 }
 
 // TestPredictorCacheFollowsRecalibration checks a /predict after a
-// recalibration serves the new profile (the version-pinned cache entry
-// is rebuilt, not reused).
+// recalibration serves the new profile (the new snapshot memoises a new
+// predictor; the old one is not reused).
 func TestPredictorCacheFollowsRecalibration(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()

@@ -130,34 +130,23 @@ func DefaultOffers() []grid.ComputeOffer {
 	}
 }
 
-// predEntry is one cached (or in-flight) per-application predictor, the
-// same duplicate-suppression shape as the bench harness's simCache: the
-// first request for an app profiles it, concurrent requests wait for
-// that one profiling run. The entry is pinned to the store snapshot
-// version it was built from; any content change invalidates it by
-// moving the version.
-type predEntry struct {
-	done    chan struct{}
-	version uint64
-	pred    *core.Predictor
-	err     error
+// profileRun is one in-flight self-profiling run for an app the store
+// lacks, the same duplicate-suppression shape as the bench harness's
+// simCache: the first request profiles the app, concurrent requests
+// wait for that one run. The entry is dropped once the run ends; the
+// adopted profile then lives in the store.
+type profileRun struct {
+	done chan struct{}
+	err  error
 }
 
-// wait returns the entry's outcome and the store version it was built
-// from, giving up when ctx ends first. A built entry answers without
-// touching ctx.Done, which would allocate the request context's channel
-// on every hot request.
-func (e *predEntry) wait(ctx context.Context) (*core.Predictor, uint64, error) {
+// wait returns the run's outcome, giving up when ctx ends first.
+func (e *profileRun) wait(ctx context.Context) error {
 	select {
 	case <-e.done:
-		return e.pred, e.version, e.err
-	default:
-	}
-	select {
-	case <-e.done:
-		return e.pred, e.version, e.err
+		return e.err
 	case <-ctx.Done():
-		return nil, 0, ctx.Err()
+		return ctx.Err()
 	}
 }
 
@@ -171,36 +160,33 @@ type Server struct {
 	start   time.Time
 	lim     *limiter
 
-	mu    sync.Mutex
-	preds map[string]*predEntry
+	// mu guards profiling, the in-flight self-profiling runs by app.
+	mu        sync.Mutex
+	profiling map[string]*profileRun
 
 	// engine is the incremental rank engine behind /select: candidate
 	// tables are cached per (dataset, variant) and only predictions
 	// whose inputs changed are recomputed between requests.
 	engine *grid.RankEngine
 
-	// selMu guards the persistent per-dataset selection services and
-	// the per-app predictor sources the engine ranks with. Keeping one
-	// Service per dataset (instead of rebuilding per request) is what
-	// lets the engine reuse its enumerated tables across requests.
+	// selMu guards the persistent per-dataset selection services.
+	// Keeping one Service per dataset (instead of rebuilding per request)
+	// is what lets the engine reuse its enumerated tables across requests.
 	selMu   sync.Mutex
 	selSvcs map[string]*selService
-	sources map[string]*profile.Source
 
 	// batchPool fans batch-endpoint items across persistent workers.
 	batchPool *workpool.Pool
 
 	// selectCache is the /select response cache, keyed by the rendered
-	// request and pinned to the store snapshot version plus estEpoch. Nil
-	// when Options.DisableCache is set.
+	// request and pinned to the pair (store snapshot version, estEpoch).
+	// Nil when Options.DisableCache is set.
 	selectCache *servecache.Cache[SelectResponse]
 
 	// estEpoch counts accepted /observe samples. Selection answers
 	// depend on the live bandwidth estimator as well as the profile
-	// store, so the select cache's version is the sum of the snapshot
-	// version and this epoch: both are monotonic, every accepted change
-	// bumps the sum by at least one, and a sum value can therefore never
-	// recur for a different (store, estimator) state.
+	// store, so a cached ranking is identified by the pair (snapshot
+	// version, epoch), each read once per request (see selectVersion).
 	estEpoch atomic.Uint64
 
 	// draining is set once shutdown begins; /healthz reports degraded.
@@ -275,10 +261,9 @@ func New(opts Options) (*Server, error) {
 		store:     store,
 		start:     time.Now(),
 		lim:       newLimiter(opts.MaxInFlight),
-		preds:     make(map[string]*predEntry),
+		profiling: make(map[string]*profileRun),
 		engine:    grid.NewRankEngine(),
 		selSvcs:   make(map[string]*selService),
-		sources:   make(map[string]*profile.Source),
 		batchPool: workpool.New(0),
 		traceRing: reqtrace.NewRing(opts.TraceRing),
 		slowLog:   opts.SlowLogWriter,
@@ -331,97 +316,79 @@ func (s *Server) Estimator() *grid.BandwidthEstimator { return s.est }
 // Store exposes the live profile store behind the handlers.
 func (s *Server) Store() *profile.Store { return s.store }
 
-// predictor returns the predictor for app at the store's current
-// snapshot version, and that version. Unknown apps are profiled once by
-// a simulated run of the base configuration and adopted into the store;
-// any content change — a recalibration of this app, but also a link or
-// scaling refit landed by another app's samples — moves the snapshot
-// version, so the stale cache entry is rebuilt from the fresh snapshot
-// on the next request. (Pinning to the per-app version would miss those
-// shared-calibration changes.)
-//
-// ctx bounds only this caller's wait. The build itself — profiling
-// simulation included — runs detached on its own goroutine: its result
-// lands in the store either way, so a request that times out while the
-// app self-profiles does not poison the coalesced waiters (or the next
-// request) with its cancellation, and the work is never repeated.
-func (s *Server) predictor(ctx context.Context, app string) (*core.Predictor, uint64, error) {
-	a, err := apps.Get(app)
-	if err != nil {
-		return nil, 0, err
-	}
+// predictor returns app's shared predictor and the snapshot it belongs
+// to, both from one snapshot read: an answer computed with the predictor
+// and stamped with the snapshot's version carries exactly that version's
+// calibration. A known app answers from the snapshot's memo; an app the
+// store lacks is first profiled (see selfProfile) and the snapshot
+// re-read once it is adopted.
+func (s *Server) predictor(ctx context.Context, app string, m core.AppModel) (*core.Predictor, *profile.Snapshot, error) {
 	snap := s.store.Snapshot()
-	_, _, known := snap.Find(app)
-	ver := snap.Version()
-
-	s.mu.Lock()
-	if e, ok := s.preds[app]; ok && (!known || e.version == ver) {
-		// Either the cached entry matches the live version, or a
-		// self-profiling run is in flight (the app has no profile yet);
-		// both mean: wait for that entry.
-		s.mu.Unlock()
-		return e.wait(ctx)
+	if pred, err := snap.Shared(app, m); err == nil {
+		return pred, snap, nil
 	}
-	e := &predEntry{done: make(chan struct{}), version: ver}
-	s.preds[app] = e
-	s.mu.Unlock()
-
-	// Detached from the request's deadline (see above), but adopting its
-	// trace: when the originating request is traced, the self-profiling
-	// simulation shows up as a span in its tree — exactly the request
-	// whose latency that profiling run explains.
-	bctx := reqtrace.Adopt(context.Background(), ctx)
-	go func() {
-		var ver uint64
-		e.pred, ver, e.err = s.buildPredictor(bctx, app, a.Model, snap, known)
-		if e.err == nil && !known {
-			// Adoption advanced the store; pin the entry to the snapshot
-			// the predictor was built from. Concurrent requests read
-			// e.version under mu, so write it there too.
-			s.mu.Lock()
-			e.version = ver
-			s.mu.Unlock()
-		}
-		close(e.done)
-		if e.err != nil {
-			// Failed profiling is not cached: a later request may succeed
-			// (e.g. after a transient harness error) and must be able to
-			// retry.
-			s.mu.Lock()
-			if s.preds[app] == e {
-				delete(s.preds, app)
-			}
-			s.mu.Unlock()
-		}
-	}()
-	return e.wait(ctx)
-}
-
-// buildPredictor resolves (or self-profiles) app's predictor and reports
-// the version of the snapshot it was built from. ctx is deadline-free by
-// construction — the caller detaches it so no single request can abort
-// the shared profiling run half-way — but may carry a request trace,
-// attributing the simulation span to the request that triggered it.
-func (s *Server) buildPredictor(ctx context.Context, app string, m core.AppModel, snap *profile.Snapshot, known bool) (*core.Predictor, uint64, error) {
-	if !known {
-		cfg := core.Config{
-			Cluster:      bench.PentiumCluster,
-			DataNodes:    s.opts.BaseDataNodes,
-			ComputeNodes: s.opts.BaseComputeNodes,
-			Bandwidth:    s.opts.BaseBandwidth,
-			DatasetBytes: s.opts.BaseBytes,
-		}
-		res, err := s.harness.Simulate(ctx, app, s.opts.BaseBytes, bench.ChunkFor(s.opts.BaseBytes), cfg)
-		if err != nil {
-			return nil, 0, fmt.Errorf("fgservice: profiling %s: %w", app, err)
-		}
-		if _, err := s.store.Ingest(profile.FromProfile(res.Profile)); err != nil {
-			return nil, 0, fmt.Errorf("fgservice: adopting %s profile: %w", app, err)
+	if _, _, known := snap.Find(app); !known {
+		if err := s.selfProfile(ctx, app); err != nil {
+			return nil, nil, err
 		}
 		snap = s.store.Snapshot()
 	}
-	pred, err := snap.Predictor(app, m)
-	return pred, snap.Version(), err
+	pred, err := snap.Shared(app, m)
+	return pred, snap, err
+}
+
+// selfProfile profiles app once by a simulated run of the base
+// configuration and adopts the result into the store; concurrent callers
+// share the one run.
+//
+// ctx bounds only this caller's wait. The run itself runs detached on
+// its own goroutine: its result lands in the store either way, so a
+// request that times out while the app self-profiles does not poison the
+// coalesced waiters (or the next request) with its cancellation.
+func (s *Server) selfProfile(ctx context.Context, app string) error {
+	s.mu.Lock()
+	e, ok := s.profiling[app]
+	if !ok {
+		// Re-check under the lock: a run that finished after the caller's
+		// snapshot read has already dropped its entry, and repeating it
+		// would ingest a second observation as a drift sample.
+		if _, _, known := s.store.Snapshot().Find(app); known {
+			s.mu.Unlock()
+			return nil
+		}
+		e = &profileRun{done: make(chan struct{})}
+		s.profiling[app] = e
+		// Detached from the request's deadline (see above), but adopting
+		// its trace: when the originating request is traced, the
+		// simulation shows up as a span in its tree — exactly the request
+		// whose latency that profiling run explains.
+		go s.runProfiling(reqtrace.Adopt(context.Background(), ctx), app, e)
+	}
+	s.mu.Unlock()
+	return e.wait(ctx)
+}
+
+// runProfiling is one self-profiling run. The entry is dropped only
+// after adoption landed (or failed — a later request may then retry), so
+// a caller that finds no entry finds the profile in the store.
+func (s *Server) runProfiling(ctx context.Context, app string, e *profileRun) {
+	cfg := core.Config{
+		Cluster:      bench.PentiumCluster,
+		DataNodes:    s.opts.BaseDataNodes,
+		ComputeNodes: s.opts.BaseComputeNodes,
+		Bandwidth:    s.opts.BaseBandwidth,
+		DatasetBytes: s.opts.BaseBytes,
+	}
+	res, err := s.harness.Simulate(ctx, app, s.opts.BaseBytes, bench.ChunkFor(s.opts.BaseBytes), cfg)
+	if err != nil {
+		e.err = fmt.Errorf("fgservice: profiling %s: %w", app, err)
+	} else if _, err := s.store.Ingest(profile.FromProfile(res.Profile)); err != nil {
+		e.err = fmt.Errorf("fgservice: adopting %s profile: %w", app, err)
+	}
+	s.mu.Lock()
+	delete(s.profiling, app)
+	s.mu.Unlock()
+	close(e.done)
 }
 
 // pathBandwidth resolves a site→cluster path's b̂: the estimator's live
@@ -509,17 +476,3 @@ func (s *Server) selectionService(spec adr.DatasetSpec) (*selService, error) {
 // rank engine bounds its tables: the legitimate dataset vocabulary is
 // small, the bound only caps hostile request streams.
 const maxSelServices = 512
-
-// source returns the live predictor source for one app, cached so the
-// rank engine sees a stable predictor pointer per store version (the
-// pointer changing is the engine's recompute-everything signal).
-func (s *Server) source(app string) *profile.Source {
-	s.selMu.Lock()
-	defer s.selMu.Unlock()
-	if src, ok := s.sources[app]; ok {
-		return src
-	}
-	src := s.store.NewSource(app, AppModelLookup(app))
-	s.sources[app] = src
-	return src
-}

@@ -21,6 +21,7 @@ import (
 	"freerideg/internal/core"
 	"freerideg/internal/metrics"
 	"freerideg/internal/profile"
+	"freerideg/internal/units"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -296,18 +297,40 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
+// TestHealthz: profiledApps counts the store's profiles, so a
+// self-profiled app shows up once adopted, alongside the version that
+// adopted it.
 func TestHealthz(t *testing.T) {
-	s := testServer(t)
-	rec := getPath(t, s.Handler(), "/healthz")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/healthz status %d", rec.Code)
-	}
-	var resp HealthResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+	s, err := New(Options{Store: testStore(t), BaseBytes: 8 * units.MB})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != "ok" || len(resp.Apps) == 0 {
-		t.Fatalf("unexpected health response: %+v", resp)
+	h := s.Handler()
+	health := func() HealthResponse {
+		t.Helper()
+		rec := getPath(t, h, "/healthz")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/healthz status %d", rec.Code)
+		}
+		var resp HealthResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != "ok" || len(resp.Apps) == 0 {
+			t.Fatalf("unexpected health response: %+v", resp)
+		}
+		return resp
+	}
+	before := health()
+	if before.ProfiledApps != 1 {
+		t.Fatalf("profiledApps = %d on the kmeans-only store, want 1", before.ProfiledApps)
+	}
+	body := `{"app":"em","config":{"cluster":"pentium-myrinet","dataNodes":1,"computeNodes":1,"bandwidth":"100MB","datasetBytes":"64MB"}}`
+	adopted := predictResponseOf(t, h, body)
+	after := health()
+	if after.ProfiledApps != 2 || after.StoreVersion != adopted.StoreVersion {
+		t.Fatalf("after self-profiling em: profiledApps %d at store version %d, want 2 at %d",
+			after.ProfiledApps, after.StoreVersion, adopted.StoreVersion)
 	}
 }
 
@@ -339,7 +362,7 @@ func TestMetricsEndpointCountsRequests(t *testing.T) {
 
 // TestConcurrentLoadSmoke hammers the service from many goroutines; run
 // under -race (make check does) this is the data-race gate for the
-// shared harness, estimator, and predictor cache.
+// shared harness, estimator, and the snapshots' memoised predictors.
 func TestConcurrentLoadSmoke(t *testing.T) {
 	const workers, perWorker = 8, 12
 	// Explicit bound >= workers: on a small machine the 4x GOMAXPROCS

@@ -37,8 +37,13 @@ var (
 	soakSizes    = []string{"256MB", "512MB", "1GB"}
 )
 
-// soakOp is one pre-generated request.
-type soakOp struct{ path, body string }
+// soakOp is one pre-generated request. sel holds a /select request, or
+// a /select/batch request's items in order: a SelectResponse names no
+// variant, so its value check needs the request it answers.
+type soakOp struct {
+	path, body string
+	sel        []SelectRequest
+}
 
 // soakOps draws n requests over paths for apps from the seed. Batches
 // carry 2 to 8 items; /observe reports a transfer on a demo site.
@@ -65,11 +70,13 @@ func soakOps(seed int64, n int, paths, apps []string) []soakOp {
 	for i := range ops {
 		path := pick(paths)
 		var req any
+		var sels []SelectRequest
 		switch path {
 		case "/predict":
 			req = predict()
 		case "/select":
-			req = sel()
+			sels = []SelectRequest{sel()}
+			req = sels[0]
 		case "/predict/batch":
 			items := make([]PredictRequest, 2+rng.Intn(7))
 			for j := range items {
@@ -77,11 +84,11 @@ func soakOps(seed int64, n int, paths, apps []string) []soakOp {
 			}
 			req = PredictBatchRequest{Items: items}
 		case "/select/batch":
-			items := make([]SelectRequest, 2+rng.Intn(7))
-			for j := range items {
-				items[j] = sel()
+			sels = make([]SelectRequest, 2+rng.Intn(7))
+			for j := range sels {
+				sels[j] = sel()
 			}
-			req = SelectBatchRequest{Items: items}
+			req = SelectBatchRequest{Items: sels}
 		case "/observe":
 			req = ObserveRequest{Site: pick([]string{"osu-repository", "remote-mirror"}), Cluster: bench.PentiumCluster,
 				Bytes: fmt.Sprintf("%dMB", 5+rng.Intn(40)), Elapsed: fmt.Sprintf("%dms", 500+rng.Intn(3500))}
@@ -90,7 +97,7 @@ func soakOps(seed int64, n int, paths, apps []string) []soakOp {
 		if err != nil {
 			panic(err)
 		}
-		ops[i] = soakOp{path, string(b)}
+		ops[i] = soakOp{path, string(b), sels}
 	}
 	return ops
 }
@@ -122,6 +129,34 @@ func servedAnswers[R any](t *testing.T, path string, body []byte) []R {
 	return out
 }
 
+// servedSelect pairs one /select answer, or one batch item's, with the
+// request it answers.
+type servedSelect struct {
+	req  SelectRequest
+	resp SelectResponse
+}
+
+// checkRanking reports every candidate of a ranking whose predicted time
+// differs from what pred — the calibration of the answer's storeVersion
+// — predicts at that candidate's configuration, and returns how many
+// candidates it checked.
+func checkRanking(t *testing.T, who string, pred *core.Predictor, v core.Variant, a SelectResponse) int {
+	t.Helper()
+	for _, c := range a.Candidates {
+		cfg := core.Config{Cluster: c.Cluster, DataNodes: c.DataNodes, ComputeNodes: c.ComputeNodes,
+			Bandwidth: c.Bandwidth, DatasetBytes: a.Size}
+		want, err := pred.Predict(cfg, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Predicted != want.Texec() {
+			t.Errorf("%s at store version %d ranked %d-%d %v@%v at %v, that version predicts %v",
+				who, a.StoreVersion, c.DataNodes, c.ComputeNodes, a.Size, c.Bandwidth, c.Predicted, want.Texec())
+		}
+	}
+	return len(a.Candidates)
+}
+
 const (
 	soakReaders = 4
 	soakBatches = 4 // drift batches, each posting enough runs to recalibrate once
@@ -133,8 +168,10 @@ const (
 // storeVersion never decreases and that no answer — per item in a batch
 // — predates a recalibration acknowledged before the read was sent.
 // Afterwards every /predict answer must equal, field for field, what the
-// recorded predictor for the version it carries predicts, and carry no
-// version the writer never saw.
+// recorded predictor for the version it carries predicts; every /select
+// candidate, per batch item too, must carry the time that predictor
+// gives its configuration; and no answer may carry a version the writer
+// never saw.
 func TestCoherenceSoak(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -198,6 +235,7 @@ func TestCoherenceSoak(t *testing.T) {
 
 			var wg sync.WaitGroup
 			answers := make([][]PredictResponse, soakReaders)
+			selects := make([][]servedSelect, soakReaders)
 			for r := range soakReaders {
 				wg.Add(1)
 				go func() {
@@ -221,8 +259,12 @@ func TestCoherenceSoak(t *testing.T) {
 							}
 							answers[r] = append(answers[r], preds...)
 						} else {
-							for _, a := range servedAnswers[SelectResponse](t, op.path, rec.Body.Bytes()) {
+							got := servedAnswers[SelectResponse](t, op.path, rec.Body.Bytes())
+							for i, a := range got {
 								vers = append(vers, a.StoreVersion)
+								if len(got) == len(op.sel) {
+									selects[r] = append(selects[r], servedSelect{op.sel[i], a})
+								}
 							}
 						}
 						hi := last
@@ -305,7 +347,24 @@ func TestCoherenceSoak(t *testing.T) {
 					versions[got.StoreVersion] = true
 				}
 			}
-			t.Logf("%d store versions, %d predictions value-checked across %d of them", len(recorded), checked, len(versions))
+			candidates := 0
+			for r, sels := range selects {
+				for _, got := range sels {
+					pred, ok := recorded[got.resp.StoreVersion]
+					if !ok {
+						t.Errorf("reader %d: /select carries store version %d, which the writer never produced", r, got.resp.StoreVersion)
+						continue
+					}
+					v, err := s.requestVariant(got.req.Variant)
+					if err != nil {
+						t.Fatal(err)
+					}
+					candidates += checkRanking(t, fmt.Sprintf("reader %d: /select", r), pred, v, got.resp)
+					versions[got.resp.StoreVersion] = true
+				}
+			}
+			t.Logf("%d store versions, %d predictions and %d candidates value-checked across %d of them",
+				len(recorded), checked, candidates, len(versions))
 		})
 	}
 }

@@ -1,7 +1,9 @@
 package profile
 
 import (
+	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -247,5 +249,73 @@ func TestSourceFollowsSharedCalibration(t *testing.T) {
 	}
 	if len(after.Links) != len(want.Links) {
 		t.Fatalf("source predictor has %d links, snapshot predictor %d", len(after.Links), len(want.Links))
+	}
+}
+
+// TestSharedPredictorFollowsContent pins the memo's pointer identity,
+// the rank engine's recompute signal: an ingest that does not
+// recalibrate keeps Shared and Source.Predictor on one pointer, every
+// content change (SeedLinks, Recalibrate, Reload) moves it, and
+// Snapshot.Predictor never hands out the shared one.
+func TestSharedPredictorFollowsContent(t *testing.T) {
+	s, err := Create(filepath.Join(t.TempDir(), "profiles.json"), staleDoc(),
+		Options{MinSamples: 3, DisableAutoRecalibrate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.AppModel{RO: core.ROLinear}
+	src := s.NewSource("kmeans", m)
+	shared := func() *core.Predictor {
+		t.Helper()
+		p, err := s.Snapshot().Shared("kmeans", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q, err := src.Predictor(); err != nil || q != p {
+			t.Fatalf("Source.Predictor = %p (%v), Snapshot.Shared = %p", q, err, p)
+		}
+		if q, err := s.Snapshot().Predictor("kmeans", m); err != nil || q == p {
+			t.Fatalf("Snapshot.Predictor returned the shared pointer (err %v)", err)
+		}
+		return p
+	}
+	p := shared()
+	if q, _ := s.Snapshot().Shared("kmeans", core.AppModel{}); q == p {
+		t.Fatal("two models share one predictor")
+	}
+
+	for _, cfg := range sampleConfigs()[:3] {
+		if _, err := s.Ingest(observeTruth(t, cfg)); err != nil {
+			t.Fatal(err)
+		}
+		if q := shared(); q != p {
+			t.Fatal("an ingest that did not recalibrate moved the shared predictor")
+		}
+	}
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"SeedLinks", func() error {
+			s.SeedLinks(map[string]core.LinkCalibration{"some-cluster": {W: 2e-8, L: time.Millisecond}})
+			return nil
+		}},
+		{"Recalibrate", func() error {
+			changed, err := s.Recalibrate("kmeans")
+			if err == nil && !changed {
+				err = errors.New("nothing changed")
+			}
+			return err
+		}},
+		{"Reload", s.Reload},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		q := shared()
+		if q == p {
+			t.Fatalf("%s kept the shared predictor", step.name)
+		}
+		p = q
 	}
 }

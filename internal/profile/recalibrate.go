@@ -1,9 +1,7 @@
 package profile
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"freerideg/internal/core"
@@ -12,13 +10,14 @@ import (
 )
 
 // driftErrorLocked predicts an observed run's total time with the
-// store's current calibrations and reports the relative error against
-// the observation. The most structured variant that can be evaluated is
-// used (GlobalReduction needs a link calibration for the run's cluster;
+// current snapshot's shared predictor — the one the serve plane answers
+// with — and reports the relative error against the observation. The
+// most structured variant that can be evaluated is used
+// (GlobalReduction needs a link calibration for the run's cluster;
 // cross-cluster runs need scaling factors), so a run no variant can
 // predict contributes no drift signal.
 func (s *Store) driftErrorLocked(obs Observation) (float64, bool) {
-	pred, err := core.NewPredictorFromStore(s.doc, obs.App, s.modelFor(obs.App))
+	pred, err := s.snap.Load().Shared(obs.App, s.modelFor(obs.App))
 	if err != nil {
 		return 0, false
 	}
@@ -312,19 +311,13 @@ func scaleDur(d time.Duration, f float64) time.Duration {
 
 // Source adapts one application of the store to the grid selector's
 // predictor-source hook: every ranking round resolves the latest
-// snapshot, so recalibrations land in selection decisions without
-// rebuilding selectors. The built predictor is cached per store version
-// — not per app version: a predictor also carries the store-wide link
-// and scaling calibrations, which another app's samples can refit while
-// this app's own version stands still.
+// snapshot's shared predictor, so recalibrations land in selection
+// decisions without rebuilding selectors, and the pointer stays put
+// while the content does.
 type Source struct {
 	store *Store
 	app   string
 	model core.AppModel
-
-	mu      sync.Mutex
-	version uint64
-	pred    *core.Predictor
 }
 
 // NewSource returns a live predictor source for one app.
@@ -332,23 +325,7 @@ func (s *Store) NewSource(app string, m core.AppModel) *Source {
 	return &Source{store: s, app: app, model: m}
 }
 
-// Predictor builds (or reuses) the predictor for the store's current
-// version.
+// Predictor returns the current snapshot's shared predictor.
 func (src *Source) Predictor() (*core.Predictor, error) {
-	snap := src.store.Snapshot()
-	if _, _, ok := snap.Find(src.app); !ok {
-		return nil, fmt.Errorf("profile: no profile for %q", src.app)
-	}
-	ver := snap.Version()
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	if src.pred != nil && src.version == ver {
-		return src.pred, nil
-	}
-	pred, err := snap.Predictor(src.app, src.model)
-	if err != nil {
-		return nil, err
-	}
-	src.pred, src.version = pred, ver
-	return pred, nil
+	return src.store.Snapshot().Shared(src.app, src.model)
 }

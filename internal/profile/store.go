@@ -33,7 +33,20 @@ type Snapshot struct {
 	doc         core.ProfileStore
 	appVersions map[string]uint64
 	status      map[string]AppStatus
-	lookup      func(string) core.AppModel
+	preds       *predMemo
+}
+
+// predMemo holds the predictors built from one document content. Every
+// snapshot publishing that content shares it, so a status-only publish
+// (an ingest that did not recalibrate) keeps each predictor's pointer.
+type predMemo struct {
+	mu sync.Mutex
+	m  map[predKey]*core.Predictor
+}
+
+type predKey struct {
+	app   string
+	model core.AppModel
 }
 
 // Version is the store-wide monotonic content version the snapshot
@@ -68,19 +81,31 @@ func (sn *Snapshot) Status(app string) (AppStatus, bool) {
 // callers must treat it as read-only.
 func (sn *Snapshot) Doc() core.ProfileStore { return sn.doc }
 
-// Predictor builds a predictor for one application from the snapshot,
-// wiring in its link calibrations and scaling factors.
+// Predictor builds a fresh predictor for one application from the
+// snapshot, wiring in its link calibrations and scaling factors.
 func (sn *Snapshot) Predictor(app string, m core.AppModel) (*core.Predictor, error) {
 	return core.NewPredictorFromStore(sn.doc, app, m)
 }
 
-// model resolves the app's scaling-class model through the store's
-// lookup hook.
-func (sn *Snapshot) model(app string) core.AppModel {
-	if sn.lookup == nil {
-		return core.AppModel{}
+// Shared returns the snapshot's memoised predictor for (app, m): built
+// on first use, the same pointer afterwards, and shared by every
+// snapshot of the same content. A predictor is a pure function of the
+// content, so the pointer moves exactly when the calibration does —
+// the rank engine's recompute signal. Callers must treat it as
+// read-only. Failed builds are not memoised.
+func (sn *Snapshot) Shared(app string, m core.AppModel) (*core.Predictor, error) {
+	k := predKey{app, m}
+	sn.preds.mu.Lock()
+	defer sn.preds.mu.Unlock()
+	if p, ok := sn.preds.m[k]; ok {
+		return p, nil
 	}
-	return sn.lookup(app)
+	p, err := sn.Predictor(app, m)
+	if err != nil {
+		return nil, err
+	}
+	sn.preds.m[k] = p
+	return p, nil
 }
 
 // appState is one application's accumulated runtime calibration state.
@@ -180,15 +205,17 @@ func (s *Store) stateFor(app string) *appState {
 }
 
 // publishLocked rebuilds the lock-free snapshot. When the document
-// content did not change, the previous snapshot's document copy is
-// reused; only the status view is rebuilt.
+// content did not change, the previous snapshot's document copy and
+// predictor memo are reused; only the status view is rebuilt.
 func (s *Store) publishLocked(contentChanged bool) {
 	prev := s.snap.Load()
 	var doc core.ProfileStore
+	var preds *predMemo
 	if contentChanged || prev == nil {
 		doc = copyDoc(s.doc)
+		preds = &predMemo{m: make(map[predKey]*core.Predictor)}
 	} else {
-		doc = prev.doc
+		doc, preds = prev.doc, prev.preds
 	}
 	vers := make(map[string]uint64, len(s.vers))
 	for k, v := range s.vers {
@@ -213,7 +240,7 @@ func (s *Store) publishLocked(contentChanged bool) {
 		doc:         doc,
 		appVersions: vers,
 		status:      status,
-		lookup:      s.opts.Lookup,
+		preds:       preds,
 	})
 	storeVersion.Set(float64(s.ver))
 }

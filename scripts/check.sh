@@ -24,15 +24,17 @@ go vet ./...
 # trace-off reference, byte for byte) runs here under the race detector.
 go test -race -shuffle=on ./...
 
-# The serve path (response cache, handlers) gets a second racing pass:
+# The serve path (response cache, handlers, the profile store's
+# snapshots and their memoised predictors) gets a second racing pass:
 # -count=2 reruns every test in-process so state leaked by a first run
 # (cache entries, shared metric counters) breaks the second. This is
 # also where the serve-plane soaks run under the race detector:
 # TestCoherenceSoak (reads checked by value against the calibration of
-# the store version they carry while recalibrations land) and
-# TestCancellationSoak (only 499/504/503 under tight client deadlines,
-# and every goroutine drains afterwards).
-go test -race -count=2 -shuffle=on ./internal/fgservice/ ./internal/servecache/
+# the store version they carry while recalibrations land — every
+# /predict field and every /select and /select/batch candidate's
+# predicted time) and TestCancellationSoak (only 499/504/503 under
+# tight client deadlines, and every goroutine drains afterwards).
+go test -race -count=2 -shuffle=on ./internal/fgservice/ ./internal/servecache/ ./internal/profile/
 
 # Go benchmark smoke pass: compile and run every Benchmark* exactly once
 # so the microbenchmarks used while working on a layer can't rot.
