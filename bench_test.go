@@ -236,7 +236,7 @@ func BenchmarkLocalBackendScaling(b *testing.B) {
 }
 
 // BenchmarkSMPStrategies compares the FREERIDE shared-memory techniques
-// on a 4-thread SMP node (real execution).
+// on one 4-thread SMP node (real execution, 1 data / 1 compute node).
 func BenchmarkSMPStrategies(b *testing.B) {
 	for _, strategy := range []middleware.ShmStrategy{middleware.FullReplication, middleware.FullLocking} {
 		strategy := strategy
@@ -248,7 +248,8 @@ func BenchmarkSMPStrategies(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := middleware.RunShm(kern, spec, 4, strategy); err != nil {
+				if _, err := middleware.RunLocalOpts(kern, spec, 1, 1,
+					middleware.LocalOptions{Threads: 4, Strategy: strategy}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -183,7 +183,7 @@ func runLocal(w io.Writer, a apps.App, app string, total units.Bytes,
 	case trace:
 		sink = middleware.NewTextSink(w)
 	}
-	res, err := middleware.RunLocalSMP(kernel, spec, data, compute,
+	res, err := middleware.RunLocalOpts(kernel, spec, data, compute,
 		middleware.LocalOptions{Faults: faults, Trace: sink})
 	if err != nil {
 		fail(err)

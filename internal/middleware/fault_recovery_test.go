@@ -150,104 +150,70 @@ func TestSimFaultRecoveryProperties(t *testing.T) {
 }
 
 // The goroutine backend computes the same reduction under faults as
-// without: every chunk lands exactly once per pass on a surviving node,
-// and the final kmeans centers match the fault-free run's up to
-// floating-point regrouping.
+// without, at every thread count and sharing strategy: every chunk lands
+// exactly once per pass on a surviving node, the final kmeans centers
+// match the fault-free run's up to floating-point regrouping, and the
+// recovery accounting reconciles with the trace. Storage rows also
+// demand that the plan's flaky links forced retried deliveries and that
+// retrieval and delivery were measured.
 func TestLocalFaultRecoveryProperties(t *testing.T) {
 	spec := localSpec("points")
-	const dataNodes, computeNodes = 2, 3
-	chunks := chunkCount(t, spec, dataNodes)
-
-	baseKernel := kmeansKernel(t, spec)
-	baseRes, err := runLocal(baseKernel, spec, dataNodes, computeNodes, LocalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseCenters := baseKernel.(centersKernel).Centers()
-
-	for seed := int64(1); seed <= 8; seed++ {
-		plan := simgrid.GenerateFaultPlan(seed, dataNodes, computeNodes, baseKernel.Iterations())
-		ck := newCountingKernel(kmeansKernel(t, spec))
-		col := NewCollector()
-		res, err := runLocal(ck, spec, dataNodes, computeNodes, LocalOptions{Faults: &plan, Trace: col})
-		if err != nil {
-			t.Fatalf("seed %d (%v): %v", seed, plan.Faults, err)
-		}
-		if res.Iterations != baseRes.Iterations {
-			t.Fatalf("seed %d: %d iterations, fault-free run took %d", seed, res.Iterations, baseRes.Iterations)
-		}
-		ck.checkExactlyOnce(t, chunks, res.Iterations)
-		requireCentersClose(t, ck.Kernel.(centersKernel).Centers(), baseCenters)
-		if got := col.PhaseTotal(PhaseRetry) + col.PhaseTotal(PhaseFailover); got != res.Recovery {
-			t.Errorf("seed %d: traced retry+failover = %v, result recovery = %v", seed, got, res.Recovery)
-		}
-		if got, want := col.Breakdown(), res.Profile.Breakdown; got != want {
-			t.Errorf("seed %d: collector breakdown %+v != profile breakdown %+v", seed, got, want)
-		}
-	}
-}
-
-// The SMP backend keeps the same guarantees with multi-threaded nodes and
-// both sharing strategies.
-func TestSMPFaultRecoveryProperties(t *testing.T) {
-	spec := localSpec("points")
-	const dataNodes, computeNodes = 2, 3
-	chunks := chunkCount(t, spec, dataNodes)
-
-	for _, strategy := range []ShmStrategy{FullReplication, FullLocking} {
-		baseKernel := kmeansKernel(t, spec)
-		baseRes, err := RunLocalSMP(baseKernel, spec, dataNodes, computeNodes,
-			LocalOptions{Threads: 2, Strategy: strategy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		baseCenters := baseKernel.(centersKernel).Centers()
-
-		for seed := int64(1); seed <= 4; seed++ {
-			plan := simgrid.GenerateFaultPlan(seed, dataNodes, computeNodes, baseKernel.Iterations())
-			ck := newCountingKernel(kmeansKernel(t, spec))
-			col := NewCollector()
-			res, err := RunLocalSMP(ck, spec, dataNodes, computeNodes,
-				LocalOptions{Threads: 2, Strategy: strategy, Faults: &plan, Trace: col})
+	all := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, tc := range []struct {
+		shape   localShape
+		seeds   []int64
+		storage bool
+	}{
+		{localShape{2, 3, 1, FullReplication}, all, false},
+		{localShape{2, 3, 2, FullReplication}, all, false},
+		{localShape{2, 3, 2, FullLocking}, all, false},
+		// One SMP node: the generator never crashes the last compute
+		// node, so these plans are storage-only.
+		{localShape{1, 1, 2, FullReplication}, all, false},
+		{localShape{2, 4, 2, FullReplication}, []int64{7}, true},
+		{localShape{2, 4, 2, FullLocking}, []int64{7}, true},
+	} {
+		t.Run(tc.shape.String(), func(t *testing.T) {
+			baseKernel := kmeansKernel(t, spec)
+			baseRes, err := tc.shape.run(baseKernel, spec)
 			if err != nil {
-				t.Fatalf("%v seed %d (%v): %v", strategy, seed, plan.Faults, err)
+				t.Fatal(err)
 			}
-			if res.Iterations != baseRes.Iterations {
-				t.Fatalf("%v seed %d: %d iterations, fault-free run took %d",
-					strategy, seed, res.Iterations, baseRes.Iterations)
-			}
-			ck.checkExactlyOnce(t, chunks, res.Iterations)
-			requireCentersClose(t, ck.Kernel.(centersKernel).Centers(), baseCenters)
-			if got, want := col.Breakdown(), res.Profile.Breakdown; got != want {
-				t.Errorf("%v seed %d: collector breakdown %+v != profile breakdown %+v",
-					strategy, seed, got, want)
-			}
-		}
-	}
-}
+			baseCenters := baseKernel.(centersKernel).Centers()
+			chunks := chunkCount(t, spec, tc.shape.data)
 
-// The single-node shm backend accepts storage-tier plans (vacuous — its
-// chunks are pre-materialized) and rejects plans that would crash its
-// only compute node.
-func TestShmFaultPlanHandling(t *testing.T) {
-	spec := localSpec("points")
-	chunks := chunkCount(t, spec, 1)
-
-	for seed := int64(1); seed <= 4; seed++ {
-		// One data node, one compute node: the generator never crashes the
-		// last surviving compute node, so these plans are storage-only.
-		plan := simgrid.GenerateFaultPlan(seed, 1, 1, 10)
-		ck := newCountingKernel(kmeansKernel(t, spec))
-		res, err := RunShmOpts(ck, spec, 2, FullReplication, LocalOptions{Faults: &plan})
-		if err != nil {
-			t.Fatalf("seed %d (%v): %v", seed, plan.Faults, err)
-		}
-		ck.checkExactlyOnce(t, chunks, res.Iterations)
+			for _, seed := range tc.seeds {
+				plan := simgrid.GenerateFaultPlan(seed, tc.shape.data, tc.shape.compute, baseKernel.Iterations())
+				ck := newCountingKernel(kmeansKernel(t, spec))
+				col := NewCollector()
+				opts := tc.shape.opts()
+				opts.Faults, opts.Trace = &plan, col
+				res, err := RunLocalOpts(ck, spec, tc.shape.data, tc.shape.compute, opts)
+				if err != nil {
+					t.Fatalf("seed %d (%v): %v", seed, plan.Faults, err)
+				}
+				if res.Iterations != baseRes.Iterations {
+					t.Fatalf("seed %d: %d iterations, fault-free run took %d", seed, res.Iterations, baseRes.Iterations)
+				}
+				ck.checkExactlyOnce(t, chunks, res.Iterations)
+				requireCentersClose(t, ck.Kernel.(centersKernel).Centers(), baseCenters)
+				if got := col.PhaseTotal(PhaseRetry) + col.PhaseTotal(PhaseFailover); got != res.Recovery {
+					t.Errorf("seed %d: traced retry+failover = %v, result recovery = %v", seed, got, res.Recovery)
+				}
+				if got, want := col.Breakdown(), res.Profile.Breakdown; got != want {
+					t.Errorf("seed %d: collector breakdown %+v != profile breakdown %+v", seed, got, want)
+				}
+				if tc.storage && (res.Retries == 0 || res.Profile.Tdisk <= 0 || res.Profile.Tnetwork <= 0) {
+					t.Errorf("seed %d (%v): %d retries, t_d %v, t_n %v; want the storage faults honoured and measured",
+						seed, plan.Faults, res.Retries, res.Profile.Tdisk, res.Profile.Tnetwork)
+				}
+			}
+		})
 	}
 
 	crash := simgrid.FaultPlan{Faults: []simgrid.Fault{{Kind: simgrid.FaultCrash, Node: 0}}}
-	if _, err := RunShmOpts(kmeansKernel(t, spec), spec, 2, FullReplication,
-		LocalOptions{Faults: &crash}); err == nil {
+	if _, err := RunLocalOpts(kmeansKernel(t, spec), spec, 1, 1,
+		LocalOptions{Threads: 2, Faults: &crash}); err == nil {
 		t.Error("plan crashing the only compute node accepted")
 	}
 }
@@ -270,7 +236,7 @@ func TestAllNodesCrashedRejected(t *testing.T) {
 		t.Error("all-nodes-crash plan accepted by sim backend")
 	}
 	k := kmeansKernel(t, localSpec("points"))
-	if _, err := runLocal(k, localSpec("points"), 1, 2, LocalOptions{Faults: &plan}); err == nil {
+	if _, err := RunLocalOpts(k, localSpec("points"), 1, 2, LocalOptions{Faults: &plan}); err == nil {
 		t.Error("all-nodes-crash plan accepted by local backend")
 	}
 }

@@ -214,7 +214,7 @@ func (fs feedSet) next(i, pass, ordinal int) (simgrid.Fault, bool, bool) {
 }
 
 // incidentLog buffers fault/retry/failover events raised concurrently by
-// the goroutine backends' workers, so they can be flushed in a
+// the goroutine backend's workers, so they can be flushed in a
 // deterministic order at the end of the stage that raised them (the
 // simulated backend emits directly — the event engine already serializes
 // its processes). Durations are preserved; the flush timestamp is the

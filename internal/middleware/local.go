@@ -9,12 +9,68 @@ import (
 	"freerideg/internal/core"
 	"freerideg/internal/datagen"
 	"freerideg/internal/reduction"
+	"freerideg/internal/simgrid"
 	"freerideg/internal/units"
 )
 
 // LocalCluster is the cluster name recorded in profiles produced by the
 // local backend.
 const LocalCluster = "local"
+
+// ShmStrategy selects how the threads of one compute node share
+// reduction state — the FREERIDE shared-memory parallelization
+// techniques the middleware inherits (Jin & Agrawal, TKDE 2005), which
+// let the same kernel run on distributed memory, shared memory, and
+// clusters of SMPs.
+type ShmStrategy int
+
+const (
+	// FullReplication gives every thread a private reduction object;
+	// objects are merged after the pass. No synchronization during
+	// processing, at the cost of one object copy per thread.
+	FullReplication ShmStrategy = iota
+	// FullLocking shares one reduction object per node behind a single
+	// lock; threads serialize their updates. Minimal memory, maximal
+	// contention.
+	FullLocking
+)
+
+func (s ShmStrategy) String() string {
+	switch s {
+	case FullReplication:
+		return "full-replication"
+	case FullLocking:
+		return "full-locking"
+	}
+	return fmt.Sprintf("ShmStrategy(%d)", int(s))
+}
+
+// LocalOptions configures the goroutine backend's node shape: plain
+// distributed-memory nodes (Threads = 1) or a cluster of SMPs where each
+// compute node runs several threads sharing reduction state through one
+// of the FREERIDE techniques. This is the "distributed memory and shared
+// memory systems, as well as cluster of SMPs, from a common high-level
+// interface" capability the paper's Section 2 describes.
+type LocalOptions struct {
+	// Threads is the number of processing threads per compute node
+	// (0 or 1 = single-threaded nodes; negative is an error).
+	Threads int
+	// Strategy selects how a node's threads share reduction state.
+	Strategy ShmStrategy
+	// Faults, when non-nil and non-empty, injects the plan's fault
+	// schedule (same semantics as SimOptions.Faults) at every thread
+	// count: crash faults fail over with real re-partitioning, flaky
+	// links force the data servers to re-materialize lost deliveries,
+	// and slow disks are marked at onset (wall-clock disk speed cannot
+	// be degraded in-process).
+	Faults *simgrid.FaultPlan
+	// Recovery tunes retry/backoff handling; the zero value means
+	// DefaultRecovery.
+	Recovery RecoverySpec
+	// Trace, when non-nil, receives the run's structured phase events
+	// (same schema as the simulated backend's SimOptions.Trace).
+	Trace Sink
+}
 
 // LocalResult is the outcome of one real (goroutine-backed) execution.
 type LocalResult struct {
@@ -27,7 +83,7 @@ type LocalResult struct {
 	Iterations int
 	// Recovery is the measured fault-handling overhead and Retries the
 	// failed-delivery count (zero on fault-free runs). The goroutine
-	// backends measure only the real wasted work — re-materialized chunks
+	// backend measures only the real wasted work — re-materialized chunks
 	// — not the modeled detection timeouts the simulated backend charges.
 	Recovery time.Duration
 	Retries  int
@@ -47,13 +103,26 @@ type LocalResult struct {
 // (max per compute node) processing time plus the serialized gather and
 // global reduction times.
 func RunLocal(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNodes int) (LocalResult, error) {
-	return runLocal(k, spec, dataNodes, computeNodes, LocalOptions{})
+	return RunLocalOpts(k, spec, dataNodes, computeNodes, LocalOptions{})
 }
 
-func runLocal(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNodes int, opts LocalOptions) (LocalResult, error) {
+// RunLocalOpts is RunLocal with options: opts.Threads workers per compute
+// node share its reduction object through opts.Strategy (a cluster of
+// SMPs; one node with several threads is a single SMP machine), and
+// opts.Faults injects a fault plan. Every thread count streams chunks
+// through the data servers, so t_d and t_n are measured the same way.
+func RunLocalOpts(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNodes int, opts LocalOptions) (LocalResult, error) {
 	if dataNodes < 1 || computeNodes < dataNodes {
 		return LocalResult{}, fmt.Errorf("middleware: need computeNodes >= dataNodes >= 1, got %d-%d",
 			dataNodes, computeNodes)
+	}
+	if opts.Threads < 0 {
+		return LocalResult{}, fmt.Errorf("middleware: need >= 0 threads per compute node, got %d", opts.Threads)
+	}
+	switch opts.Strategy {
+	case FullReplication, FullLocking:
+	default:
+		return LocalResult{}, fmt.Errorf("middleware: unknown strategy %v", opts.Strategy)
 	}
 	gen, err := datagen.For(spec.Kind)
 	if err != nil {
@@ -75,6 +144,8 @@ func runLocal(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNodes 
 
 	ex := &localExecutor{
 		k:         k,
+		threads:   max(opts.Threads, 1),
+		strategy:  opts.Strategy,
 		gen:       gen,
 		spec:      spec,
 		layout:    layout,
@@ -142,9 +213,10 @@ func runLocal(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNodes 
 }
 
 // localExecutor runs the protocol for real on goroutines: data-server
-// goroutines materialize and distribute chunks, compute-server goroutines
-// run local reductions, and the pipeline's master flow gathers, reduces
-// globally, and decides convergence.
+// goroutines materialize and distribute chunks, each compute server runs
+// its local reduction on threads worker goroutines sharing the node's
+// reduction object per strategy, and the pipeline's master flow gathers,
+// reduces globally, and decides convergence.
 //
 // Under fault injection the backend keeps the simulated backend's
 // semantics on wall time: crashed nodes receive no work from their crash
@@ -156,16 +228,18 @@ func runLocal(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNodes 
 // real wasted work is measured — the detection timeout the simulated
 // backend models has no wall-clock counterpart here.
 type localExecutor struct {
-	k       reduction.Kernel
-	gen     datagen.Generator
-	spec    adr.DatasetSpec
-	layout  *adr.Layout
-	fields  int
-	overlap int64
-	n, c    int
-	targets [][]int
-	base    [][]adr.Chunk // per compute node, fault-free assignment
-	start   time.Time
+	k        reduction.Kernel
+	threads  int // workers per compute node
+	strategy ShmStrategy
+	gen      datagen.Generator
+	spec     adr.DatasetSpec
+	layout   *adr.Layout
+	fields   int
+	overlap  int64
+	n, c     int
+	targets  [][]int
+	base     [][]adr.Chunk // per compute node, fault-free assignment
+	start    time.Time
 
 	// Fault-injection state (nil/empty on fault-free runs).
 	sched     *faultSchedule
@@ -262,13 +336,15 @@ func (ex *localExecutor) LocalReduction(pass int) (PassStats, error) {
 // to re-materialize and re-send lost deliveries.
 func (ex *localExecutor) firstPass() (PassStats, error) {
 	diskTime := make([]time.Duration, ex.n)
-	recvTime := make([]time.Duration, ex.c)
-	compTime := make([]time.Duration, ex.c)
-	errs := make(chan error, ex.n+ex.c)
+	errs := make(chan error, ex.n)
 	chans := make([]chan reduction.Payload, ex.c)
 	for j := range chans {
 		chans[j] = make(chan reduction.Payload, 1)
 	}
+	// quit releases the data servers once a compute node has failed: its
+	// channel is no longer drained, so a pending send would block forever.
+	quit := make(chan struct{})
+	var stop sync.Once
 	// Under failover, chunk ownership comes from the pass-0 assignment
 	// rather than the static delivery targets.
 	var owner map[int]int
@@ -347,7 +423,11 @@ func (ex *localExecutor) firstPass() (PassStats, error) {
 					}
 				}
 				diskTime[dn] += d
-				chans[target] <- payload
+				select {
+				case chans[target] <- payload:
+				case <-quit:
+					return
+				}
 			}
 		}()
 	}
@@ -358,40 +438,31 @@ func (ex *localExecutor) firstPass() (PassStats, error) {
 		}
 	}()
 	// Compute servers: receive, cache, process.
-	var wg sync.WaitGroup
-	for j := 0; j < ex.c; j++ {
-		j := j
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t0 := time.Now()
-				p, ok := <-chans[j]
-				recvTime[j] += time.Since(t0)
-				if !ok {
-					return
-				}
+	recv, comp, err := ex.reduceNodes(func(j int) nextFunc {
+		var mu sync.Mutex // guards ex.cache[j] across the node's workers
+		return func() (reduction.Payload, time.Duration, bool, error) {
+			t0 := time.Now()
+			p, ok := <-chans[j]
+			d := time.Since(t0)
+			if ok {
+				mu.Lock()
 				ex.cache[j][p.Chunk.Index] = p
-				t1 := time.Now()
-				if err := ex.k.ProcessChunk(p, ex.objs[j]); err != nil {
-					errs <- err
-					return
-				}
-				compTime[j] += time.Since(t1)
+				mu.Unlock()
 			}
-		}()
+			return p, d, ok, nil
+		}
+	}, func() { stop.Do(func() { close(quit) }) })
+	serveWG.Wait() // no data server outlives the pass, failed or not
+	if err == nil {
+		select {
+		case err = <-errs:
+		default:
+		}
 	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	if err != nil {
 		return PassStats{}, err
-	default:
 	}
-	return PassStats{
-		Retrieval: maxDur(diskTime),
-		Delivery:  maxDur(recvTime),
-		Compute:   maxDur(compTime),
-	}, nil
+	return PassStats{Retrieval: maxDur(diskTime), Delivery: recv, Compute: comp}, nil
 }
 
 // cachedPass replays each node's cached chunks per the pass's failover
@@ -399,44 +470,137 @@ func (ex *localExecutor) firstPass() (PassStats, error) {
 // inherited from a dead node are missing from its cache and must be
 // re-materialized (charged as retrieval, the "failover re-fetch").
 func (ex *localExecutor) cachedPass(pass int) (PassStats, error) {
-	compTime := make([]time.Duration, ex.c)
-	fetchTime := make([]time.Duration, ex.c)
-	errs := make(chan error, ex.c)
+	fetch, comp, err := ex.reduceNodes(func(j int) nextFunc {
+		work := ex.workFor(pass, j)
+		var mu sync.Mutex // guards i and ex.cache[j] across the node's workers
+		i := 0
+		return func() (reduction.Payload, time.Duration, bool, error) {
+			mu.Lock()
+			if i == len(work) {
+				mu.Unlock()
+				return reduction.Payload{}, 0, false, nil
+			}
+			ch := work[i]
+			i++
+			p, ok := ex.cache[j][ch.Index]
+			mu.Unlock()
+			if ok {
+				return p, 0, true, nil
+			}
+			t0 := time.Now()
+			p, err := ex.materialize(ch)
+			if err != nil {
+				return p, 0, false, err
+			}
+			d := time.Since(t0)
+			mu.Lock()
+			ex.cache[j][ch.Index] = p
+			mu.Unlock()
+			return p, d, true, nil
+		}
+	}, nil)
+	if err != nil {
+		return PassStats{}, err
+	}
+	return PassStats{Retrieval: fetch, Compute: comp}, nil
+}
+
+// nextFunc yields a compute node's next payload and the time spent
+// obtaining it; ok is false once the node's share of the pass is done.
+// It is called concurrently by the node's workers.
+type nextFunc func() (p reduction.Payload, wait time.Duration, ok bool, err error)
+
+// reduceNodes runs every compute node's share of a pass concurrently,
+// node j pulling from feed(j), and returns the max per-node wait and busy
+// times. failed, when non-nil, runs as soon as a node has failed.
+func (ex *localExecutor) reduceNodes(feed func(j int) nextFunc, failed func()) (wait, busy time.Duration, err error) {
+	waits := make([]time.Duration, ex.c)
+	busys := make([]time.Duration, ex.c)
+	errs := make([]error, ex.c)
 	var wg sync.WaitGroup
 	for j := 0; j < ex.c; j++ {
-		j := j
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, ch := range ex.workFor(pass, j) {
-				p, ok := ex.cache[j][ch.Index]
-				if !ok {
-					t0 := time.Now()
-					var err error
-					p, err = ex.materialize(ch)
-					if err != nil {
-						errs <- err
-						return
-					}
-					fetchTime[j] += time.Since(t0)
-					ex.cache[j][ch.Index] = p
-				}
-				t1 := time.Now()
-				if err := ex.k.ProcessChunk(p, ex.objs[j]); err != nil {
-					errs <- err
-					return
-				}
-				compTime[j] += time.Since(t1)
+			waits[j], busys[j], errs[j] = ex.reduceNode(j, feed(j))
+			if errs[j] != nil && failed != nil {
+				failed()
 			}
 		}()
 	}
 	wg.Wait()
-	select {
-	case err := <-errs:
-		return PassStats{}, err
-	default:
+	for _, err := range errs {
+		if err != nil {
+			return 0, 0, err
+		}
 	}
-	return PassStats{Retrieval: maxDur(fetchTime), Compute: maxDur(compTime)}, nil
+	return maxDur(waits), maxDur(busys), nil
+}
+
+// reduceNode runs compute node j's share of a pass on ex.threads workers,
+// each pulling payloads from next and folding them into the node's
+// object. Under FullReplication every worker after the first folds into a
+// private object, merged into the node's after the pass; under
+// FullLocking all workers update the node's object behind one mutex.
+// Wait and busy are the max over the node's workers; the replica merge
+// counts as busy time.
+func (ex *localExecutor) reduceNode(j int, next nextFunc) (wait, busy time.Duration, err error) {
+	objs := make([]reduction.Object, ex.threads)
+	for w := range objs {
+		objs[w] = ex.objs[j]
+		if w > 0 && ex.strategy == FullReplication {
+			objs[w] = ex.k.NewObject()
+		}
+	}
+	var mu sync.Mutex // the node's object lock under FullLocking
+	waits := make([]time.Duration, ex.threads)
+	busys := make([]time.Duration, ex.threads)
+	errs := make([]error, ex.threads)
+	var wg sync.WaitGroup
+	for w := range objs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				p, d, ok, err := next()
+				waits[w] += d
+				if err != nil || !ok {
+					errs[w] = err
+					return
+				}
+				t0 := time.Now()
+				if ex.strategy == FullLocking {
+					mu.Lock()
+				}
+				err = ex.k.ProcessChunk(p, objs[w])
+				if ex.strategy == FullLocking {
+					mu.Unlock()
+				}
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				busys[w] += time.Since(t0)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	busy = maxDur(busys)
+	if ex.strategy == FullReplication && ex.threads > 1 {
+		t0 := time.Now()
+		for _, o := range objs[1:] {
+			if err := objs[0].Merge(o); err != nil {
+				return 0, 0, fmt.Errorf("merge: %w", err)
+			}
+		}
+		busy += time.Since(t0)
+	}
+	return maxDur(waits), busy, nil
 }
 
 // Gather merges worker objects into the master's, crossing a real

@@ -22,7 +22,7 @@ func serveClients(n, c int) [][]int {
 // storage node hands its chunks round-robin to its clients, so
 // targets[dn][i] is the compute node receiving the i-th chunk of storage
 // node dn. All backends derive their chunk placement from this one
-// function, which keeps the goroutine backends' layout identical to the
+// function, which keeps the goroutine backend's layout identical to the
 // simulated one.
 func chunkTargets(layout *adr.Layout, n, c int) [][]int {
 	clients := serveClients(n, c)

@@ -10,9 +10,9 @@ import (
 )
 
 // Fault-recovery metrics, accumulated across every backend: the pipeline
-// is the one place all four execution paths converge, so run and retry
+// is the one place both execution paths converge, so run and retry
 // totals are counted here; failovers are counted at their emission sites
-// (the simulated executor emits directly, the goroutine backends through
+// (the simulated executor emits directly, the goroutine backend through
 // the incident log).
 var (
 	mwRuns = metrics.GetCounter("fg_mw_runs_total",
@@ -53,8 +53,7 @@ type PassStats struct {
 // methods perform (or simulate) the work of one phase of one pass and
 // report the duration charged to it.
 type Executor interface {
-	// Backend names the execution backend ("sim", "local", "local-smp",
-	// "shm").
+	// Backend names the execution backend ("sim" or "local").
 	Backend() string
 	// Workload names the application or kernel being run.
 	Workload() string
@@ -64,7 +63,7 @@ type Executor interface {
 	// stop the pipeline early via GlobalReduce).
 	Passes() int
 	// Now is the time since run start: virtual time on the simulated
-	// backend, wall time on the goroutine backends.
+	// backend, wall time on the goroutine backend.
 	Now() time.Duration
 	// LocalReduction runs one pass's chunk phase on every node: first-pass
 	// retrieval/delivery/processing, or cached-pass re-fetch/processing.

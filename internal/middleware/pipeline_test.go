@@ -42,68 +42,41 @@ func TestCollectorBreakdownMatchesSimProfile(t *testing.T) {
 	}
 }
 
+// The goroutine backend's trace reproduces its profile at every node
+// shape, framed by run-start/run-end and with compute time accounted.
 func TestCollectorBreakdownMatchesLocalProfile(t *testing.T) {
 	spec := localSpec("points")
-	a, _ := apps.Get("kmeans")
-	k, err := a.NewKernel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := NewCollector()
-	res, err := runLocal(k, spec, 1, 2, LocalOptions{Trace: col})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := col.Breakdown(), res.Profile.Breakdown; got != want {
-		t.Errorf("collector breakdown %+v != profile breakdown %+v", got, want)
-	}
-}
-
-func TestCollectorBreakdownMatchesSMPProfile(t *testing.T) {
-	spec := localSpec("points")
-	a, _ := apps.Get("kmeans")
-	k, err := a.NewKernel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := NewCollector()
-	res, err := RunLocalSMP(k, spec, 1, 2, LocalOptions{Threads: 2, Strategy: FullLocking, Trace: col})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := col.Breakdown(), res.Profile.Breakdown; got != want {
-		t.Errorf("collector breakdown %+v != profile breakdown %+v", got, want)
-	}
-	if res.Profile.Breakdown.Tcompute == 0 {
-		t.Error("SMP profile has zero compute time")
-	}
-}
-
-func TestShmRunsThroughPipeline(t *testing.T) {
-	spec := localSpec("points")
-	a, _ := apps.Get("kmeans")
-	k, err := a.NewKernel(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := NewCollector()
-	res, err := runShm(k, spec, 2, FullReplication, col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := col.Events()
-	if len(events) == 0 {
-		t.Fatal("no events emitted")
-	}
-	if events[0].Phase != PhaseRunStart || events[len(events)-1].Phase != PhaseRunEnd {
-		t.Errorf("stream not framed by run-start/run-end: %v .. %v",
-			events[0].Phase, events[len(events)-1].Phase)
-	}
-	if res.Iterations < 1 {
-		t.Errorf("iterations = %d", res.Iterations)
-	}
-	if bd := col.Breakdown(); bd.Tcompute == 0 {
-		t.Error("shm run accounted zero compute time")
+	for _, shape := range []localShape{
+		{1, 2, 1, FullReplication},
+		{1, 2, 2, FullLocking},
+		{1, 1, 2, FullReplication},
+	} {
+		t.Run(shape.String(), func(t *testing.T) {
+			col := NewCollector()
+			opts := shape.opts()
+			opts.Trace = col
+			res, err := RunLocalOpts(kmeansKernel(t, spec), spec, shape.data, shape.compute, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := col.Breakdown(), res.Profile.Breakdown; got != want {
+				t.Errorf("collector breakdown %+v != profile breakdown %+v", got, want)
+			}
+			events := col.Events()
+			if len(events) == 0 {
+				t.Fatal("no events emitted")
+			}
+			if events[0].Phase != PhaseRunStart || events[len(events)-1].Phase != PhaseRunEnd {
+				t.Errorf("stream not framed by run-start/run-end: %v .. %v",
+					events[0].Phase, events[len(events)-1].Phase)
+			}
+			if res.Iterations < 1 {
+				t.Errorf("iterations = %d", res.Iterations)
+			}
+			if res.Profile.Breakdown.Tcompute == 0 {
+				t.Error("profile has zero compute time")
+			}
+		})
 	}
 }
 

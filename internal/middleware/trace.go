@@ -104,7 +104,7 @@ func (ph *Phase) UnmarshalJSON(b []byte) error {
 
 // Event is one structured middleware execution event. Timestamps are
 // relative to the run's start: virtual time on the simulated backend,
-// wall time on the goroutine backends.
+// wall time on the goroutine backend.
 type Event struct {
 	// At is when the phase completed (run-start: when the run began).
 	At time.Duration `json:"at"`

@@ -47,7 +47,7 @@ func (k FaultKind) String() string {
 // Fault is one scheduled fault. Faults trigger on logical protocol
 // coordinates rather than wall-clock times so that the same plan is
 // meaningful on the simulated backend (virtual time) and on the real
-// goroutine backends (wall time): Pass is the middleware pass and Chunk
+// goroutine backend (wall time): Pass is the middleware pass and Chunk
 // the per-node chunk ordinal within that pass at which the fault fires.
 type Fault struct {
 	// Kind selects the failure mode.

@@ -1,10 +1,11 @@
 #!/bin/sh
 # check.sh — the repository's fast correctness gate: formatting, vet, a
-# module-wide race-detector run (the fault-injected goroutine backends
-# exercise real concurrency well beyond the middleware package), a
+# module-wide race-detector run (the fault-injected goroutine backend
+# exercises real concurrency well beyond the middleware package), a
 # fuzz seed-corpus regression pass (every Fuzz* target replayed against
-# its checked-in corpus, no new fuzzing), the fgserved smoke, and the
-# tracked benchmark's own vet, tests and 1 s-per-workload smoke.
+# its checked-in corpus, no new fuzzing), the fgrun -local fault smoke,
+# the fgserved smoke, and the tracked benchmark's own vet, tests and
+# 1 s-per-workload smoke.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -66,6 +67,16 @@ go test -run='^Fuzz' ./internal/simgrid/ ./internal/fgservice/
 
 # Every command must build — a broken main is invisible to `go test`.
 go build ./cmd/...
+
+# Goroutine-backend smoke through its one command-line caller: the
+# seed-7 fault plan's flaky link must force exactly two re-materialized
+# deliveries on a real 2-4 run.
+out=$(go run ./cmd/fgrun -app kmeans -size 8MB -local -data 2 -compute 4 -fault-seed 7)
+if ! echo "$out" | grep -q 'over 2 retried deliver'; then
+    echo "fgrun -local smoke: expected 2 retried deliveries, got:" >&2
+    echo "$out" >&2
+    exit 1
+fi
 
 # fgserved smoke: start the service on an ephemeral port, drive every
 # endpoint over real TCP, assert the request/instrumentation counters
