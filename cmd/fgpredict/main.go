@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"time"
@@ -61,12 +62,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	ctx := context.Background()
 	var (
 		baseProfile core.Profile
 		pred        *core.Predictor
 	)
 	if *loadPath != "" {
-		store, err := profile.Open(*loadPath, profile.Options{Lookup: modelLookup})
+		store, err := profile.Open(*loadPath, profile.Options{Lookup: apps.Model})
 		if err != nil {
 			fail(err)
 		}
@@ -80,6 +82,9 @@ func main() {
 		if !targetSize.IsSet() {
 			tgtTotal = baseTotal
 		}
+		if !targetBW.IsSet() {
+			tgtBW = p.Config.Bandwidth
+		}
 		fmt.Printf("loaded base profile (%s v%d) from %s (store version %d): %v\n",
 			*app, ver, *loadPath, snap.Version(), p.Config)
 		// The snapshot predictor carries the store's own link calibrations
@@ -88,19 +93,11 @@ func main() {
 			fail(err)
 		}
 	} else {
-		baseSpec, err := bench.DatasetChunked(*app, baseTotal, bench.ChunkFor(baseTotal))
-		if err != nil {
-			fail(err)
-		}
-		baseCost, err := a.Cost(baseSpec)
-		if err != nil {
-			fail(err)
-		}
 		baseCfg := core.Config{
 			Cluster: bench.PentiumCluster, DataNodes: basePair.Data, ComputeNodes: basePair.Compute,
 			Bandwidth: bw.Rate, DatasetBytes: baseTotal,
 		}
-		baseRes, err := h.Grid().Simulate(baseCost, baseSpec, baseCfg)
+		baseRes, err := h.Simulate(ctx, *app, baseTotal, bench.ChunkFor(baseTotal), baseCfg)
 		if err != nil {
 			fail(err)
 		}
@@ -125,9 +122,11 @@ func main() {
 	}
 	if _, ok := pred.Scalings[*cluster]; !ok && *cluster != bench.PentiumCluster {
 		// Cross-cluster prediction needs experimentally measured scaling
-		// factors (paper Section 3.4).
+		// factors (paper Section 3.4), taken on the base profile's own
+		// configuration — a loaded one need not match the -base/-bw flags.
 		fmt.Println("note: cross-cluster prediction uses kmeans/knn/vortex scaling factors")
-		scal, err := crossScaling(h, basePair.Data, basePair.Compute, bw.Rate, *cluster)
+		bc := baseProfile.Config
+		scal, err := h.ScalingFactors([]string{"kmeans", "knn", "vortex"}, *cluster, bc.DataNodes, bc.ComputeNodes, bc.Bandwidth)
 		if err != nil {
 			fail(err)
 		}
@@ -142,7 +141,7 @@ func main() {
 			Profiles: []core.Profile{baseProfile},
 			Links:    h.Links(),
 			Scalings: pred.Scalings,
-		}, profile.Options{Lookup: modelLookup})
+		}, profile.Options{Lookup: apps.Model})
 		if err != nil {
 			fail(err)
 		}
@@ -152,19 +151,11 @@ func main() {
 		fmt.Printf("versioned profile store written to %s\n", *savePath)
 	}
 
-	tgtSpec, err := bench.DatasetChunked(*app, tgtTotal, chunk)
-	if err != nil {
-		fail(err)
-	}
-	tgtCost, err := a.Cost(tgtSpec)
-	if err != nil {
-		fail(err)
-	}
 	tgtCfg := core.Config{
 		Cluster: *cluster, DataNodes: targetPair.Data, ComputeNodes: targetPair.Compute,
 		Bandwidth: tgtBW, DatasetBytes: tgtTotal,
 	}
-	actual, err := h.Grid().Simulate(tgtCost, tgtSpec, tgtCfg)
+	actual, err := h.Simulate(ctx, *app, tgtTotal, chunk, tgtCfg)
 	if err != nil {
 		fail(err)
 	}
@@ -178,48 +169,6 @@ func main() {
 		e := stats.RelError(actual.Makespan.Seconds(), p.Texec().Seconds())
 		fmt.Printf("  %-24s predicted %v (error %.2f%%)\n", v.String()+":", rnd(p.Texec()), 100*e)
 	}
-}
-
-// modelLookup resolves an application's scaling-class model for the
-// profile store layer.
-func modelLookup(name string) core.AppModel {
-	a, err := apps.Get(name)
-	if err != nil {
-		return core.AppModel{}
-	}
-	return a.Model
-}
-
-func crossScaling(h *bench.Harness, n, c int, bw units.Rate, target string) (core.Scaling, error) {
-	var onA, onB []core.Profile
-	for _, rep := range []string{"kmeans", "knn", "vortex"} {
-		a, err := apps.Get(rep)
-		if err != nil {
-			return core.Scaling{}, err
-		}
-		spec, err := bench.Dataset(rep, 256*units.MB)
-		if err != nil {
-			return core.Scaling{}, err
-		}
-		cost, err := a.Cost(spec)
-		if err != nil {
-			return core.Scaling{}, err
-		}
-		for _, cl := range []string{bench.PentiumCluster, target} {
-			cfg := core.Config{Cluster: cl, DataNodes: n, ComputeNodes: c,
-				Bandwidth: bw, DatasetBytes: spec.TotalBytes}
-			res, err := h.Grid().Simulate(cost, spec, cfg)
-			if err != nil {
-				return core.Scaling{}, err
-			}
-			if cl == bench.PentiumCluster {
-				onA = append(onA, res.Profile)
-			} else {
-				onB = append(onB, res.Profile)
-			}
-		}
-	}
-	return core.ComputeScaling(onA, onB)
 }
 
 func rnd(d time.Duration) time.Duration { return d.Round(time.Millisecond) }

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"time"
@@ -36,7 +37,6 @@ func main() {
 		size     = cliutil.Bytes("size", 7*units.GB/5, "dataset size")
 		loadPath = flag.String("load", "", "read the application profile from this profile store instead of self-profiling")
 		deadline = flag.Duration("deadline", 0, "plan the cheapest configuration meeting this deadline instead of the fastest")
-		parallel = cliutil.Parallel("max workers evaluating candidate predictions (0 = GOMAXPROCS); ranking is identical either way")
 	)
 	flag.Parse()
 
@@ -53,17 +53,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cost, err := a.Cost(spec)
-	if err != nil {
-		fail(err)
-	}
+	ctx := context.Background()
 
 	// The application profile comes through the store layer either way: a
 	// -load file opens it directly; otherwise a 1-1 profiling run on the
 	// Pentium cluster is adopted into a fresh in-memory store.
 	var store *profile.Store
 	if *loadPath != "" {
-		if store, err = profile.Open(*loadPath, profile.Options{Lookup: modelLookup}); err != nil {
+		if store, err = profile.Open(*loadPath, profile.Options{Lookup: apps.Model}); err != nil {
 			fail(err)
 		}
 		snap := store.Snapshot()
@@ -80,11 +77,11 @@ func main() {
 			Bandwidth:    100 * units.MBPerSec,
 			DatasetBytes: total,
 		}
-		baseRes, err := h.Grid().Simulate(cost, spec, baseCfg)
+		baseRes, err := h.Simulate(ctx, *app, total, spec.ChunkBytes, baseCfg)
 		if err != nil {
 			fail(err)
 		}
-		if store, err = profile.NewStore(core.ProfileStore{}, profile.Options{Lookup: modelLookup}); err != nil {
+		if store, err = profile.NewStore(core.ProfileStore{}, profile.Options{Lookup: apps.Model}); err != nil {
 			fail(err)
 		}
 		if _, err := store.Ingest(profile.FromProfile(baseRes.Profile)); err != nil {
@@ -127,7 +124,7 @@ func main() {
 
 	// The selector resolves the predictor from the store's live snapshot
 	// per ranking round.
-	sel := &grid.Selector{Source: store.NewSource(*app, a.Model), Variant: core.GlobalReduction, Parallel: *parallel}
+	sel := &grid.Selector{Source: store.NewSource(*app, a.Model), Variant: core.GlobalReduction}
 	if *deadline > 0 {
 		cand, err := grid.PlanCapacity(sel, svc, spec.Name, *deadline)
 		if err != nil {
@@ -153,22 +150,12 @@ func main() {
 			cand.Config.Bandwidth, cand.Prediction.Texec().Round(time.Millisecond))
 	}
 	best := ranked[0]
-	actual, err := h.Grid().Simulate(cost, spec, best.Config)
+	actual, err := h.Simulate(ctx, *app, total, spec.ChunkBytes, best.Config)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("selected %s with %d compute nodes; actual simulated T_exec %v\n",
 		best.Replica.Site, best.Config.ComputeNodes, actual.Makespan.Round(time.Millisecond))
-}
-
-// modelLookup resolves an application's scaling-class model for the
-// profile store layer.
-func modelLookup(name string) core.AppModel {
-	a, err := apps.Get(name)
-	if err != nil {
-		return core.AppModel{}
-	}
-	return a.Model
 }
 
 func fail(err error) { cliutil.Fatal("fgselect", err) }

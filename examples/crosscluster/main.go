@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -25,19 +26,7 @@ func main() {
 	}
 	const app = "defect"
 	total := 130 * units.MB
-
-	a, err := apps.Get(app)
-	if err != nil {
-		log.Fatal(err)
-	}
-	spec, err := bench.Dataset(app, total)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cost, err := a.Cost(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ctx := context.Background()
 
 	// 1. Profile defect detection on the Pentium cluster.
 	mk := func(cluster string, n, c int) core.Config {
@@ -46,7 +35,7 @@ func main() {
 			Bandwidth: 100 * units.MBPerSec, DatasetBytes: total,
 		}
 	}
-	base, err := h.Grid().Simulate(cost, spec, mk(bench.PentiumCluster, 4, 4))
+	base, err := h.Simulate(ctx, app, total, bench.ChunkFor(total), mk(bench.PentiumCluster, 4, 4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,37 +44,7 @@ func main() {
 
 	// 2. Measure scaling factors with three representative applications
 	// run on identical configurations on both clusters.
-	var onA, onB []core.Profile
-	for _, rep := range []string{"kmeans", "knn", "em"} {
-		ra, err := apps.Get(rep)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rspec, err := bench.Dataset(rep, 256*units.MB)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rcost, err := ra.Cost(rspec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, cluster := range []string{bench.PentiumCluster, bench.OpteronCluster} {
-			cfg := core.Config{
-				Cluster: cluster, DataNodes: 4, ComputeNodes: 4,
-				Bandwidth: 100 * units.MBPerSec, DatasetBytes: rspec.TotalBytes,
-			}
-			res, err := h.Grid().Simulate(rcost, rspec, cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if cluster == bench.PentiumCluster {
-				onA = append(onA, res.Profile)
-			} else {
-				onB = append(onB, res.Profile)
-			}
-		}
-	}
-	scaling, err := core.ComputeScaling(onA, onB)
+	scaling, err := h.ScalingFactors([]string{"kmeans", "knn", "em"}, bench.OpteronCluster, 4, 4, 100*units.MBPerSec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +52,7 @@ func main() {
 		scaling.Disk, scaling.Network, scaling.Compute)
 
 	// 3. Predict Opteron configurations and compare with simulated truth.
-	pred, err := core.NewPredictor(base.Profile, a.Model)
+	pred, err := core.NewPredictor(base.Profile, apps.Model(app))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,7 +68,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		actual, err := h.Grid().Simulate(cost, spec, cfg)
+		actual, err := h.Simulate(ctx, app, total, bench.ChunkFor(total), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func main() {
 
 	// --- Part 2: assumption checks on a healthy testbed.
 	fmt.Println("\n== assumption checks (healthy cluster)")
-	profiles := collect(h, middleware.SimOptions{})
+	profiles := sweep(h.Grid(), bench.PentiumCluster)
 	warnings, err := core.CheckAssumptions(profiles)
 	if err != nil {
 		log.Fatal(err)
@@ -75,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hostile := collectOn(hostileGrid, contended.Name)
+	hostile := sweep(hostileGrid, contended.Name)
 	warnings, err = core.CheckAssumptions(hostile)
 	if err != nil {
 		log.Fatal(err)
@@ -93,20 +93,8 @@ func main() {
 	// deployment can reconcile its observability pipeline against the
 	// reported breakdown.
 	fmt.Println("\n== event-layer phase decomposition (kmeans, 2-4, 256 MB)")
-	a, err := apps.Get("kmeans")
-	if err != nil {
-		log.Fatal(err)
-	}
-	spec, err := bench.DatasetChunked("kmeans", 256*units.MB, bench.ChunkFor(256*units.MB))
-	if err != nil {
-		log.Fatal(err)
-	}
-	cost, err := a.Cost(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
 	col := middleware.NewCollector()
-	res, err := h.Grid().SimulateOpts(cost, spec, core.Config{
+	res, err := h.SimulateOpts("kmeans", 256*units.MB, bench.ChunkFor(256*units.MB), core.Config{
 		Cluster:      bench.PentiumCluster,
 		DataNodes:    2,
 		ComputeNodes: 4,
@@ -131,18 +119,9 @@ func main() {
 		bd.Tcompute.Round(time.Millisecond), bd == res.Profile.Breakdown)
 }
 
-// collect runs kmeans profiles over a small configuration sweep on the
-// harness's healthy testbed.
-func collect(h *bench.Harness, opts middleware.SimOptions) []core.Profile {
-	return sweep(h.Grid(), bench.PentiumCluster, opts)
-}
-
-// collectOn runs the same sweep on an arbitrary grid/cluster.
-func collectOn(g *middleware.Grid, cluster string) []core.Profile {
-	return sweep(g, cluster, middleware.SimOptions{})
-}
-
-func sweep(g *middleware.Grid, cluster string, opts middleware.SimOptions) []core.Profile {
+// sweep runs kmeans profiles over a small configuration sweep on one
+// cluster of a testbed.
+func sweep(g *middleware.Grid, cluster string) []core.Profile {
 	const app = "kmeans"
 	a, err := apps.Get(app)
 	if err != nil {
@@ -173,7 +152,7 @@ func sweep(g *middleware.Grid, cluster string, opts middleware.SimOptions) []cor
 			Bandwidth:    middleware.DefaultBandwidth,
 			DatasetBytes: run.bytes,
 		}
-		res, err := g.SimulateOpts(cost, spec, cfg, opts)
+		res, err := g.Simulate(cost, spec, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -30,18 +31,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, err := apps.Get(app)
-	if err != nil {
-		log.Fatal(err)
-	}
 	spec, err := bench.Dataset(app, total)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cost, err := a.Cost(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ctx := context.Background()
 
 	// Profile the application once on a minimal configuration.
 	baseCfg := core.Config{
@@ -51,7 +45,7 @@ func main() {
 		Bandwidth:    100 * units.MBPerSec,
 		DatasetBytes: total,
 	}
-	base, err := h.Grid().Simulate(cost, spec, baseCfg)
+	base, err := h.Simulate(ctx, app, total, spec.ChunkBytes, baseCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +54,7 @@ func main() {
 		base.Profile.Tnetwork.Round(time.Millisecond),
 		base.Profile.Tcompute.Round(time.Millisecond))
 
-	pred, err := core.NewPredictor(base.Profile, a.Model)
+	pred, err := core.NewPredictor(base.Profile, apps.Model(app))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -118,7 +112,7 @@ func main() {
 
 	// Validate the choice against the simulated ground truth.
 	best := ranked[0]
-	actual, err := h.Grid().Simulate(cost, spec, best.Config)
+	actual, err := h.Simulate(ctx, app, total, spec.ChunkBytes, best.Config)
 	if err != nil {
 		log.Fatal(err)
 	}

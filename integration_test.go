@@ -3,6 +3,7 @@
 package freerideg_test
 
 import (
+	"context"
 	"testing"
 
 	"freerideg/internal/adr"
@@ -33,16 +34,8 @@ func TestResourceSelectionPicksNearOptimal(t *testing.T) {
 	for _, app := range []string{"kmeans", "vortex", "defect"} {
 		app := app
 		t.Run(app, func(t *testing.T) {
-			a, err := apps.Get(app)
-			if err != nil {
-				t.Fatal(err)
-			}
 			total := 256 * units.MB
 			spec, err := bench.Dataset(app, total)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cost, err := a.Cost(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,11 +46,11 @@ func TestResourceSelectionPicksNearOptimal(t *testing.T) {
 				Bandwidth:    middleware.DefaultBandwidth,
 				DatasetBytes: total,
 			}
-			base, err := h.Grid().Simulate(cost, spec, baseCfg)
+			base, err := h.Simulate(context.Background(), app, total, spec.ChunkBytes, baseCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred, err := core.NewPredictor(base.Profile, a.Model)
+			pred, err := core.NewPredictor(base.Profile, apps.Model(app))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +101,7 @@ func TestResourceSelectionPicksNearOptimal(t *testing.T) {
 			bestActual := -1.0
 			var chosenActual float64
 			for i, cand := range ranked {
-				res, err := h.Grid().Simulate(cost, spec, cand.Config)
+				res, err := h.Simulate(context.Background(), app, total, spec.ChunkBytes, cand.Config)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,15 +132,7 @@ func TestProfileStoreDrivesPrediction(t *testing.T) {
 	h := integrationHarness(t)
 	const app = "em"
 	total := 128 * units.MB
-	a, _ := apps.Get(app)
-	spec, err := bench.Dataset(app, total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost, err := a.Cost(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunk := bench.ChunkFor(total)
 	baseCfg := core.Config{
 		Cluster:      bench.PentiumCluster,
 		DataNodes:    1,
@@ -155,7 +140,7 @@ func TestProfileStoreDrivesPrediction(t *testing.T) {
 		Bandwidth:    middleware.DefaultBandwidth,
 		DatasetBytes: total,
 	}
-	base, err := h.Grid().Simulate(cost, spec, baseCfg)
+	base, err := h.Simulate(context.Background(), app, total, chunk, baseCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +156,7 @@ func TestProfileStoreDrivesPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := core.NewPredictorFromStore(loaded, app, a.Model)
+	pred, err := core.NewPredictorFromStore(loaded, app, apps.Model(app))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +166,7 @@ func TestProfileStoreDrivesPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	actual, err := h.Grid().Simulate(cost, spec, target)
+	actual, err := h.Simulate(context.Background(), app, total, chunk, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +190,6 @@ func TestLocalAndSimulatedBackendsAgreeStructurally(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cost, err := a.Cost(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
 			kern, err := a.NewKernel(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -224,7 +205,7 @@ func TestLocalAndSimulatedBackendsAgreeStructurally(t *testing.T) {
 				Bandwidth:    middleware.DefaultBandwidth,
 				DatasetBytes: spec.TotalBytes,
 			}
-			sim, err := h.Grid().Simulate(cost, spec, cfg)
+			sim, err := h.Simulate(context.Background(), app, spec.TotalBytes, spec.ChunkBytes, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

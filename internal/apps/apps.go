@@ -127,6 +127,12 @@ func Get(name string) (App, error) {
 	return a, nil
 }
 
+// Model returns a registered application's scaling-class model, or the
+// zero model for an unknown name: the Lookup hook profile stores use.
+func Model(name string) core.AppModel {
+	return registry[name].Model
+}
+
 // Names lists the registered applications, sorted.
 func Names() []string {
 	names := make([]string, 0, len(registry))

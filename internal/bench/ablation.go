@@ -25,38 +25,28 @@ type AblationResult struct {
 // ablationDataset is the workload the ablations sweep.
 const ablationDataset = 512 * units.MB
 
+// ablationConfig is one grid configuration of the ablation workload.
+func ablationConfig(n, c int) core.Config {
+	return core.Config{
+		Cluster:      PentiumCluster,
+		DataNodes:    n,
+		ComputeNodes: c,
+		Bandwidth:    middleware.DefaultBandwidth,
+		DatasetBytes: ablationDataset,
+	}
+}
+
 // maxPredictionError predicts the configuration grid from a 1-1 profile
 // and reports the maximum relative error, with configurable simulator
 // options and predictor tweaks.
 func (h *Harness) maxPredictionError(app string, opts middleware.SimOptions,
 	tweak func(*core.Predictor)) (float64, error) {
-	a, err := apps.Get(app)
-	if err != nil {
-		return 0, err
-	}
 	chunk := ChunkFor(ablationDataset)
-	spec, err := DatasetChunked(app, ablationDataset, chunk)
+	base, err := h.SimulateOpts(app, ablationDataset, chunk, ablationConfig(1, 1), opts)
 	if err != nil {
 		return 0, err
 	}
-	cost, err := a.Cost(spec)
-	if err != nil {
-		return 0, err
-	}
-	mkCfg := func(n, c int) core.Config {
-		return core.Config{
-			Cluster:      PentiumCluster,
-			DataNodes:    n,
-			ComputeNodes: c,
-			Bandwidth:    middleware.DefaultBandwidth,
-			DatasetBytes: ablationDataset,
-		}
-	}
-	base, err := h.grid.SimulateOpts(cost, spec, mkCfg(1, 1), opts)
-	if err != nil {
-		return 0, err
-	}
-	pred, err := core.NewPredictor(base.Profile, a.Model)
+	pred, err := core.NewPredictor(base.Profile, apps.Model(app))
 	if err != nil {
 		return 0, err
 	}
@@ -68,8 +58,8 @@ func (h *Harness) maxPredictionError(app string, opts middleware.SimOptions,
 	}
 	var worst float64
 	for _, nc := range ConfigGrid() {
-		cfg := mkCfg(nc[0], nc[1])
-		actual, err := h.grid.SimulateOpts(cost, spec, cfg, opts)
+		cfg := ablationConfig(nc[0], nc[1])
+		actual, err := h.SimulateOpts(app, ablationDataset, chunk, cfg, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -113,28 +103,9 @@ func (h *Harness) AblationTreeGather(app string) (AblationResult, error) {
 // asynchronously instead of using the synchronous chunk rounds.
 func (h *Harness) AblationFlowControl(app string) (AblationResult, error) {
 	gap := func(opts middleware.SimOptions) (float64, error) {
-		a, err := apps.Get(app)
-		if err != nil {
-			return 0, err
-		}
-		spec, err := DatasetChunked(app, ablationDataset, ChunkFor(ablationDataset))
-		if err != nil {
-			return 0, err
-		}
-		cost, err := a.Cost(spec)
-		if err != nil {
-			return 0, err
-		}
 		var worst float64
 		for _, nc := range ConfigGrid() {
-			cfg := core.Config{
-				Cluster:      PentiumCluster,
-				DataNodes:    nc[0],
-				ComputeNodes: nc[1],
-				Bandwidth:    middleware.DefaultBandwidth,
-				DatasetBytes: ablationDataset,
-			}
-			res, err := h.grid.SimulateOpts(cost, spec, cfg, opts)
+			res, err := h.SimulateOpts(app, ablationDataset, ChunkFor(ablationDataset), ablationConfig(nc[0], nc[1]), opts)
 			if err != nil {
 				return 0, err
 			}

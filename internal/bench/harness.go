@@ -72,7 +72,8 @@ func NewHarness() (*Harness, error) {
 	return h, nil
 }
 
-// Grid exposes the simulated testbed (used by the CLI tools).
+// Grid exposes the simulated testbed, for callers that build their own
+// cost model (fgrun's fault plans) or time the engine directly.
 func (h *Harness) Grid() *middleware.Grid { return h.grid }
 
 // Links exposes the interconnect calibrations per cluster.
@@ -127,6 +128,27 @@ func (h *Harness) Simulate(ctx context.Context, app string, total, chunk units.B
 	}
 	sp.End()
 	return res, err
+}
+
+// SimulateOpts runs one application configuration with explicit
+// protocol options (fault plans, ablation variants, trace sinks). Such
+// runs are not covered by the memo key, so SimulateOpts bypasses the
+// memo cache, the worker pool and the observer: it is a plain engine
+// run on the harness's testbed.
+func (h *Harness) SimulateOpts(app string, total, chunk units.Bytes, cfg core.Config, opts middleware.SimOptions) (middleware.SimResult, error) {
+	a, err := apps.Get(app)
+	if err != nil {
+		return middleware.SimResult{}, err
+	}
+	spec, err := DatasetChunked(app, total, chunk)
+	if err != nil {
+		return middleware.SimResult{}, err
+	}
+	cost, err := a.Cost(spec)
+	if err != nil {
+		return middleware.SimResult{}, err
+	}
+	return h.grid.SimulateOpts(cost, spec, cfg, opts)
 }
 
 // runSim executes one simulation while holding a worker-pool slot. The
@@ -215,6 +237,17 @@ func (h *Harness) scalingFactors(e experiment) (core.Scaling, []core.Profile, er
 	}
 	s, err := core.ComputeScaling(onA, onB)
 	return s, onB, err
+}
+
+// ScalingFactors measures the Section 3.4 component scaling factors from
+// the Pentium cluster to target: each representative app runs on n data
+// and c compute nodes at bandwidth bw on both clusters, memoized like
+// every harness run.
+func (h *Harness) ScalingFactors(reps []string, target string, n, c int, bw units.Rate) (core.Scaling, error) {
+	s, _, err := h.scalingFactors(experiment{
+		repApps: reps, targetCluster: target, baseN: n, baseC: c, baseBW: bw,
+	})
+	return s, err
 }
 
 // Run regenerates one figure. The 14 grid cells are independent

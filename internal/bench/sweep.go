@@ -36,7 +36,7 @@ var (
 // equal SimResults, which is what makes memoization safe. Runs with
 // non-default protocol options — fault plans, ablation variants,
 // straggler injection — are not covered by this key and MUST bypass the
-// cache: the ablations therefore call Grid.SimulateOpts directly. If the
+// cache: the ablations therefore call Harness.SimulateOpts. If the
 // harness ever sweeps such options, the deviating fields (including the
 // fault plan) have to become part of the key.
 type simKey struct {

@@ -130,26 +130,6 @@ func DefaultOffers() []grid.ComputeOffer {
 	}
 }
 
-// profileRun is one in-flight self-profiling run for an app the store
-// lacks, the same duplicate-suppression shape as the bench harness's
-// simCache: the first request profiles the app, concurrent requests
-// wait for that one run. The entry is dropped once the run ends; the
-// adopted profile then lives in the store.
-type profileRun struct {
-	done chan struct{}
-	err  error
-}
-
-// wait returns the run's outcome, giving up when ctx ends first.
-func (e *profileRun) wait(ctx context.Context) error {
-	select {
-	case <-e.done:
-		return e.err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Server holds the loaded-once state behind the HTTP handlers.
 type Server struct {
 	opts    Options
@@ -159,10 +139,6 @@ type Server struct {
 	store   *profile.Store
 	start   time.Time
 	lim     *limiter
-
-	// mu guards profiling, the in-flight self-profiling runs by app.
-	mu        sync.Mutex
-	profiling map[string]*profileRun
 
 	// engine is the incremental rank engine behind /select: candidate
 	// tables are cached per (dataset, variant) and only predictions
@@ -261,7 +237,6 @@ func New(opts Options) (*Server, error) {
 		store:     store,
 		start:     time.Now(),
 		lim:       newLimiter(opts.MaxInFlight),
-		profiling: make(map[string]*profileRun),
 		engine:    grid.NewRankEngine(),
 		selSvcs:   make(map[string]*selService),
 		batchPool: workpool.New(0),
@@ -302,13 +277,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // AppModelLookup resolves an application's scaling-class model from the
 // registry, the Lookup hook a service-facing profile.Store should use.
-func AppModelLookup(name string) core.AppModel {
-	a, err := apps.Get(name)
-	if err != nil {
-		return core.AppModel{}
-	}
-	return a.Model
-}
+func AppModelLookup(name string) core.AppModel { return apps.Model(name) }
 
 // Estimator exposes the live bandwidth estimator (the /observe sink).
 func (s *Server) Estimator() *grid.BandwidthEstimator { return s.est }
@@ -337,58 +306,41 @@ func (s *Server) predictor(ctx context.Context, app string, m core.AppModel) (*c
 	return pred, snap, err
 }
 
-// selfProfile profiles app once by a simulated run of the base
-// configuration and adopts the result into the store; concurrent callers
-// share the one run.
+// selfProfile profiles app by a simulated run of the base configuration
+// and adopts the result into the store. Concurrent callers share one
+// engine run through the harness memo, and Store.Adopt lands only the
+// first profile, so the app is adopted exactly once.
 //
 // ctx bounds only this caller's wait. The run itself runs detached on
 // its own goroutine: its result lands in the store either way, so a
 // request that times out while the app self-profiles does not poison the
-// coalesced waiters (or the next request) with its cancellation.
+// coalesced waiters (or the next request) with its cancellation. The
+// detached context adopts the request's trace, so a traced request shows
+// the simulation as a span in its own tree.
 func (s *Server) selfProfile(ctx context.Context, app string) error {
-	s.mu.Lock()
-	e, ok := s.profiling[app]
-	if !ok {
-		// Re-check under the lock: a run that finished after the caller's
-		// snapshot read has already dropped its entry, and repeating it
-		// would ingest a second observation as a drift sample.
-		if _, _, known := s.store.Snapshot().Find(app); known {
-			s.mu.Unlock()
-			return nil
+	done := make(chan error, 1)
+	go func() {
+		cfg := core.Config{
+			Cluster:      bench.PentiumCluster,
+			DataNodes:    s.opts.BaseDataNodes,
+			ComputeNodes: s.opts.BaseComputeNodes,
+			Bandwidth:    s.opts.BaseBandwidth,
+			DatasetBytes: s.opts.BaseBytes,
 		}
-		e = &profileRun{done: make(chan struct{})}
-		s.profiling[app] = e
-		// Detached from the request's deadline (see above), but adopting
-		// its trace: when the originating request is traced, the
-		// simulation shows up as a span in its tree — exactly the request
-		// whose latency that profiling run explains.
-		go s.runProfiling(reqtrace.Adopt(context.Background(), ctx), app, e)
+		res, err := s.harness.Simulate(reqtrace.Adopt(context.Background(), ctx), app, s.opts.BaseBytes, bench.ChunkFor(s.opts.BaseBytes), cfg)
+		if err != nil {
+			err = fmt.Errorf("fgservice: profiling %s: %w", app, err)
+		} else if _, err = s.store.Adopt(profile.FromProfile(res.Profile)); err != nil {
+			err = fmt.Errorf("fgservice: adopting %s profile: %w", app, err)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	s.mu.Unlock()
-	return e.wait(ctx)
-}
-
-// runProfiling is one self-profiling run. The entry is dropped only
-// after adoption landed (or failed — a later request may then retry), so
-// a caller that finds no entry finds the profile in the store.
-func (s *Server) runProfiling(ctx context.Context, app string, e *profileRun) {
-	cfg := core.Config{
-		Cluster:      bench.PentiumCluster,
-		DataNodes:    s.opts.BaseDataNodes,
-		ComputeNodes: s.opts.BaseComputeNodes,
-		Bandwidth:    s.opts.BaseBandwidth,
-		DatasetBytes: s.opts.BaseBytes,
-	}
-	res, err := s.harness.Simulate(ctx, app, s.opts.BaseBytes, bench.ChunkFor(s.opts.BaseBytes), cfg)
-	if err != nil {
-		e.err = fmt.Errorf("fgservice: profiling %s: %w", app, err)
-	} else if _, err := s.store.Ingest(profile.FromProfile(res.Profile)); err != nil {
-		e.err = fmt.Errorf("fgservice: adopting %s profile: %w", app, err)
-	}
-	s.mu.Lock()
-	delete(s.profiling, app)
-	s.mu.Unlock()
-	close(e.done)
 }
 
 // pathBandwidth resolves a site→cluster path's b̂: the estimator's live

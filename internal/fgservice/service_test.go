@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -332,6 +333,87 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("after self-profiling em: profiledApps %d at store version %d, want 2 at %d",
 			after.ProfiledApps, after.StoreVersion, adopted.StoreVersion)
 	}
+}
+
+// TestConcurrentFirstRequestsProfileOnce: "em" is not in the test
+// store, so a burst of first requests for it all self-profile at once,
+// some under a client deadline too short to wait for the run. The
+// harness memo must merge them into one simulation, and the store must
+// adopt em exactly once: one sample, app version 1, and one store
+// version step, however many of the merged runs reach the store.
+func TestConcurrentFirstRequestsProfileOnce(t *testing.T) {
+	s, err := New(Options{Store: testStore(t), BaseBytes: 8 * units.MB, MaxInFlight: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	v0 := s.Store().Snapshot().Version()
+	// The first simulation is held until the twelve deadline-free requests
+	// have joined it through the memo, so they all find em unknown.
+	hits := metrics.GetCounter("fg_sim_cache_hits_total", "")
+	h0 := hits.Value()
+	release := make(chan struct{})
+	var sims atomic.Int32
+	s.harness.SetObserver(func(core.Profile) {
+		sims.Add(1)
+		<-release
+	})
+	bodies := []struct{ path, body string }{
+		{"/predict", `{"app":"em","config":{"cluster":"pentium-myrinet","dataNodes":1,"computeNodes":2,` +
+			`"bandwidth":"100MB","datasetBytes":"64MB"}}`},
+		{"/select", `{"app":"em","size":"64MB"}`},
+	}
+	var wg sync.WaitGroup
+	for i := range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			if i%4 == 3 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, time.Microsecond)
+				defer cancel()
+			}
+			op := bodies[i%2]
+			rec := postJSONCtx(ctx, h, op.path, op.body)
+			switch {
+			case rec.Code == http.StatusOK:
+			case i%4 == 3 && (rec.Code == StatusClientClosedRequest || rec.Code == http.StatusGatewayTimeout):
+			default:
+				t.Errorf("request %d %s: status %d: %s", i, op.path, rec.Code, rec.Body)
+			}
+		}()
+	}
+	for end := time.Now().Add(10 * time.Second); hits.Value() < h0+11; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			close(release)
+			wg.Wait()
+			t.Fatalf("only %v requests joined the held self-profiling run, want 11", hits.Value()-h0)
+		}
+	}
+	close(release)
+	wg.Wait()
+
+	if got := sims.Load(); got != 1 {
+		t.Fatalf("%d simulations for one app's first requests, want 1", got)
+	}
+	if v := s.Store().Snapshot().Version(); v != v0+1 {
+		t.Errorf("store version %d -> %d, want one step", v0, v)
+	}
+	rec := getPath(t, h, "/profiles")
+	var profiles ProfilesResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &profiles); err != nil {
+		t.Fatalf("/profiles: %v: %s", err, rec.Body)
+	}
+	for _, info := range profiles.Profiles {
+		if info.App == "em" {
+			if info.Samples != 1 || info.Version != 1 {
+				t.Errorf("em adopted at samples %d, version %d; want 1 and 1", info.Samples, info.Version)
+			}
+			return
+		}
+	}
+	t.Fatalf("/profiles lacks em: %s", rec.Body)
 }
 
 func TestMetricsEndpointCountsRequests(t *testing.T) {

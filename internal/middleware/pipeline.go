@@ -146,8 +146,8 @@ func (b PhaseBreakdown) Profile(app string, cfg core.Config, roBytes, bcastBytes
 //	each pass: serialized reduction-object gather at the master, global
 //	           reduction, per-pass coordination, result broadcast.
 //
-// All four backends — the simulated grid and the three goroutine
-// backends — run through this one implementation, so they provably
+// Both backends — the simulated grid and the goroutine backend at every
+// thread count — run through this one implementation, so they provably
 // execute the same protocol with the same accounting.
 type Pipeline struct {
 	exec       Executor

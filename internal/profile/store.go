@@ -286,43 +286,26 @@ func (s *Store) Ingest(obs Observation) (IngestResult, error) {
 	defer s.mu.Unlock()
 
 	base, known := s.doc.Find(obs.App)
+	if !known {
+		return s.adoptLocked(obs)
+	}
 	// Fill optional fields from the current base profile so wire-level
 	// callers can post bare breakdowns.
 	if obs.Iterations == 0 {
-		if known {
-			obs.Iterations = base.Iterations
-		} else {
-			obs.Iterations = 1
-		}
+		obs.Iterations = base.Iterations
 	}
-	if known {
-		if obs.ROBytesPerNode == 0 {
-			obs.ROBytesPerNode = base.ROBytesPerNode
-		}
-		if obs.BroadcastBytes == 0 {
-			obs.BroadcastBytes = base.BroadcastBytes
-		}
+	if obs.ROBytesPerNode == 0 {
+		obs.ROBytesPerNode = base.ROBytesPerNode
 	}
-	p := obs.Profile()
-	if err := p.Validate(); err != nil {
+	if obs.BroadcastBytes == 0 {
+		obs.BroadcastBytes = base.BroadcastBytes
+	}
+	if err := obs.Profile().Validate(); err != nil {
 		return IngestResult{}, fmt.Errorf("profile: rejecting observation: %w", err)
 	}
 
 	st := s.stateFor(obs.App)
 	res := IngestResult{App: obs.App}
-
-	if !known {
-		s.doc.Profiles = append(s.doc.Profiles, p)
-		s.vers[obs.App] = 1
-		s.ver++
-		st.total++
-		adoptedTotal.Inc()
-		ingestedTotal.Inc()
-		res.Adopted = true
-		res.Samples = st.total
-		s.finishMutationLocked(&res, obs.App, true)
-		return res, nil
-	}
 
 	// Drift: how wrong is the current model about this run?
 	if e, ok := s.driftErrorLocked(obs); ok {
@@ -342,6 +325,41 @@ func (s *Store) Ingest(obs Observation) (IngestResult, error) {
 	}
 	res.Samples = st.total
 	s.finishMutationLocked(&res, obs.App, changed)
+	return res, nil
+}
+
+// Adopt makes obs the base profile of an app the store does not know
+// yet, as Ingest would. For a known app it is a no-op (samples, drift
+// and versions stay untouched, and the result's Adopted is false), so
+// concurrent first runs of one app adopt it exactly once.
+func (s *Store) Adopt(obs Observation) (IngestResult, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, known := s.doc.Find(obs.App); known {
+		return IngestResult{App: obs.App, AppVersion: s.vers[obs.App], StoreVersion: s.ver}, nil
+	}
+	return s.adoptLocked(obs)
+}
+
+// adoptLocked adopts an unknown app: the observation becomes its base
+// profile at version 1.
+func (s *Store) adoptLocked(obs Observation) (IngestResult, error) {
+	if obs.Iterations == 0 {
+		obs.Iterations = 1
+	}
+	p := obs.Profile()
+	if err := p.Validate(); err != nil {
+		return IngestResult{}, fmt.Errorf("profile: rejecting observation: %w", err)
+	}
+	st := s.stateFor(obs.App)
+	s.doc.Profiles = append(s.doc.Profiles, p)
+	s.vers[obs.App] = 1
+	s.ver++
+	st.total++
+	adoptedTotal.Inc()
+	ingestedTotal.Inc()
+	res := IngestResult{App: obs.App, Adopted: true, Samples: st.total}
+	s.finishMutationLocked(&res, obs.App, true)
 	return res, nil
 }
 

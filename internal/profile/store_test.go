@@ -167,6 +167,40 @@ func TestIngestAdoptsUnknownApp(t *testing.T) {
 	}
 }
 
+// TestAdoptKnownAppIsNoop: Adopt adopts only an unknown app. On a known
+// one it must leave the profile, samples, drift and versions untouched,
+// where Ingest would have counted a sample and pushed a drift error.
+func TestAdoptKnownAppIsNoop(t *testing.T) {
+	s, err := NewStore(core.ProfileStore{Links: testLinks()}, Options{DisableAutoRecalibrate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Adopt(observeTruth(t, truthProfile().Config))
+	if err != nil || !res.Adopted || res.Samples != 1 || res.AppVersion != 1 {
+		t.Fatalf("Adopt of an unknown app = %+v, %v; want adopted at samples 1, version 1", res, err)
+	}
+	if _, err := s.Ingest(observeTruth(t, sampleConfigs()[0])); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Snapshot()
+	st0, _ := before.Status("kmeans")
+	if st0.Samples != 2 || st0.DriftSamples != 1 {
+		t.Fatalf("status before Adopt = %+v, want 2 samples and 1 drift sample", st0)
+	}
+	res, err = s.Adopt(observeTruth(t, sampleConfigs()[1]))
+	if err != nil || res.Adopted {
+		t.Fatalf("Adopt of a known app = %+v, %v; want a no-op", res, err)
+	}
+	after := s.Snapshot()
+	st1, _ := after.Status("kmeans")
+	p0, v0, _ := before.Find("kmeans")
+	p1, v1, _ := after.Find("kmeans")
+	if st1 != st0 || v1 != v0 || after.Version() != before.Version() || p1 != p0 {
+		t.Fatalf("Adopt of a known app changed the store: status %+v -> %+v, app version %d -> %d, store version %d -> %d",
+			st0, st1, v0, v1, before.Version(), after.Version())
+	}
+}
+
 func TestIngestRejectsInvalidObservation(t *testing.T) {
 	s, err := NewStore(staleDoc(), Options{})
 	if err != nil {

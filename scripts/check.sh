@@ -68,6 +68,48 @@ go test -run='^Fuzz' ./internal/simgrid/ ./internal/fgservice/
 # Every command must build — a broken main is invisible to `go test`.
 go build ./cmd/...
 
+# CLI goldens: the prediction and selection commands are deterministic,
+# so their whole output is compared byte for byte against testdata/cli.
+# A -save/-load round trip must predict what the run that saved the
+# profile predicts: a loaded profile defaults the target bandwidth and
+# measures cross-cluster scaling factors at its own configuration, not
+# at the -base/-bw flag defaults.
+clitmp=$(mktemp -d)
+trap 'rm -rf "$clitmp"' EXIT
+go build -o "$clitmp" ./cmd/fgpredict ./cmd/fgselect
+golden() {
+    name=$1 cmd=$2
+    shift 2
+    "$clitmp/$cmd" "$@" >"$clitmp/$name.out" 2>&1 || true
+    if ! cmp -s "$clitmp/$name.out" "testdata/cli/$name.golden"; then
+        echo "CLI golden $name differs:" >&2
+        diff "testdata/cli/$name.golden" "$clitmp/$name.out" >&2 || true
+        exit 1
+    fi
+}
+same_predictions() {
+    grep predicted "$1" >"$clitmp/want"
+    grep predicted "$2" >"$clitmp/got"
+    if ! cmp -s "$clitmp/want" "$clitmp/got"; then
+        echo "fgpredict -load predicts differently from the run that saved the profile:" >&2
+        diff "$clitmp/want" "$clitmp/got" >&2 || true
+        exit 1
+    fi
+}
+golden fgpredict-cross-cluster fgpredict -app defect -size 130MB -base 4,4 \
+    -target 8,16 -target-size 1.8GB -target-cluster opteron-infiniband
+golden fgselect fgselect -app kmeans -size 1.4GB
+golden fgselect-deadline fgselect -app kmeans -size 1.4GB -deadline 2h
+"$clitmp/fgpredict" -app defect -size 130MB -base 4,4 \
+    -target-cluster pentium-myrinet -save "$clitmp/s.json" >/dev/null
+"$clitmp/fgpredict" -app defect -load "$clitmp/s.json" -target 8,16 \
+    -target-size 1.8GB -target-cluster opteron-infiniband >"$clitmp/load.out"
+same_predictions testdata/cli/fgpredict-cross-cluster.golden "$clitmp/load.out"
+"$clitmp/fgpredict" -app defect -size 130MB -bw 50MB -base 4,4 \
+    -save "$clitmp/s50.json" >"$clitmp/save50.out"
+"$clitmp/fgpredict" -app defect -load "$clitmp/s50.json" >"$clitmp/load50.out"
+same_predictions "$clitmp/save50.out" "$clitmp/load50.out"
+
 # Goroutine-backend smoke through its one command-line caller: the
 # seed-7 fault plan's flaky link must force exactly two re-materialized
 # deliveries on a real 2-4 run.
