@@ -8,11 +8,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
-	"freerideg/internal/apps"
 	"freerideg/internal/bench"
 	"freerideg/internal/core"
 	"freerideg/internal/grid"
@@ -51,7 +51,7 @@ func main() {
 
 	// --- Part 2: assumption checks on a healthy testbed.
 	fmt.Println("\n== assumption checks (healthy cluster)")
-	profiles := sweep(h.Grid(), bench.PentiumCluster)
+	profiles := sweep(h, bench.PentiumCluster)
 	warnings, err := core.CheckAssumptions(profiles)
 	if err != nil {
 		log.Fatal(err)
@@ -71,11 +71,11 @@ func main() {
 	contended := middleware.PentiumMyrinet()
 	contended.Name = "contended-repository"
 	contended.DiskAlpha = 0.8
-	hostileGrid, err := middleware.NewGrid(contended)
+	hostileHarness, err := bench.NewHarnessOn(contended)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hostile := sweep(hostileGrid, contended.Name)
+	hostile := sweep(hostileHarness, contended.Name)
 	warnings, err = core.CheckAssumptions(hostile)
 	if err != nil {
 		log.Fatal(err)
@@ -120,13 +120,8 @@ func main() {
 }
 
 // sweep runs kmeans profiles over a small configuration sweep on one
-// cluster of a testbed.
-func sweep(g *middleware.Grid, cluster string) []core.Profile {
-	const app = "kmeans"
-	a, err := apps.Get(app)
-	if err != nil {
-		log.Fatal(err)
-	}
+// cluster of a harness's testbed.
+func sweep(h *bench.Harness, cluster string) []core.Profile {
 	var out []core.Profile
 	for _, run := range []struct {
 		n, c  int
@@ -137,14 +132,6 @@ func sweep(g *middleware.Grid, cluster string) []core.Profile {
 		{2, 2, 128 * units.MB},
 		{8, 8, 128 * units.MB},
 	} {
-		spec, err := bench.DatasetChunked(app, run.bytes, bench.ChunkFor(128*units.MB))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cost, err := a.Cost(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
 		cfg := core.Config{
 			Cluster:      cluster,
 			DataNodes:    run.n,
@@ -152,7 +139,7 @@ func sweep(g *middleware.Grid, cluster string) []core.Profile {
 			Bandwidth:    middleware.DefaultBandwidth,
 			DatasetBytes: run.bytes,
 		}
-		res, err := g.Simulate(cost, spec, cfg)
+		res, err := h.Simulate(context.Background(), "kmeans", run.bytes, bench.ChunkFor(128*units.MB), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

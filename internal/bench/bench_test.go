@@ -384,6 +384,7 @@ func TestRunAblationsCoversAll(t *testing.T) {
 			t.Errorf("rendered ablations missing %q", name)
 		}
 	}
+	checkGolden(t, "ablations.golden", []byte(sb.String()))
 }
 
 func TestRenderContainsTable(t *testing.T) {

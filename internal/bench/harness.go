@@ -56,18 +56,26 @@ func (h *Harness) observer() Observer {
 // NewHarness builds a harness over the paper's two clusters, with the
 // worker pool sized to GOMAXPROCS.
 func NewHarness() (*Harness, error) {
-	g, err := middleware.NewGrid(middleware.PentiumMyrinet(), middleware.OpteronInfiniband())
+	return NewHarnessOn(middleware.PentiumMyrinet(), middleware.OpteronInfiniband())
+}
+
+// NewHarnessOn builds a harness over the given clusters, calibrating each
+// one's interconnect, with the worker pool sized to GOMAXPROCS. The
+// figures and ablations need the paper's two clusters (NewHarness); a
+// harness over other clusters serves Simulate and SimulateOpts on them.
+func NewHarnessOn(clusters ...middleware.ClusterSpec) (*Harness, error) {
+	g, err := middleware.NewGrid(clusters...)
 	if err != nil {
 		return nil, err
 	}
 	h := &Harness{grid: g, links: make(map[string]core.LinkCalibration), cache: newSimCache()}
 	h.SetParallelism(runtime.GOMAXPROCS(0))
-	for _, cl := range []string{PentiumCluster, OpteronCluster} {
-		cal, err := core.CalibrateLink(g.MeasureIC(cl))
+	for _, cl := range clusters {
+		cal, err := core.CalibrateLink(g.MeasureIC(cl.Name))
 		if err != nil {
-			return nil, fmt.Errorf("bench: calibrating %s: %w", cl, err)
+			return nil, fmt.Errorf("bench: calibrating %s: %w", cl.Name, err)
 		}
-		h.links[cl] = cal
+		h.links[cl.Name] = cal
 	}
 	return h, nil
 }
@@ -167,19 +175,7 @@ func (h *Harness) runSim(ctx context.Context, app string, total, chunk units.Byt
 		return middleware.SimResult{}, cerr
 	}
 	simStarted.Inc()
-	a, err := apps.Get(app)
-	if err != nil {
-		return middleware.SimResult{}, err
-	}
-	spec, err := DatasetChunked(app, total, chunk)
-	if err != nil {
-		return middleware.SimResult{}, err
-	}
-	cost, err := a.Cost(spec)
-	if err != nil {
-		return middleware.SimResult{}, err
-	}
-	res, err = h.grid.SimulateOpts(cost, spec, cfg, middleware.SimOptions{Trace: sink})
+	res, err = h.SimulateOpts(app, total, chunk, cfg, middleware.SimOptions{Trace: sink})
 	if err == nil {
 		simCompleted.Inc()
 		if fn := h.observer(); fn != nil {

@@ -5,6 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,9 +18,46 @@ import (
 	"freerideg/internal/units"
 )
 
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update, and reports the first line that differs.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Errorf("%s deviates at line %d (run with -update to regenerate)\ngot:  %q\nwant: %q", path, i+1, g, w)
+			return
+		}
+	}
+}
+
 // TestParallelRunAllMatchesSerial is the determinism gate for the sweep
 // engine: a parallel RunAll must be byte-identical to a serial one —
-// figures, cells, notes, and rendering — regardless of scheduling.
+// figures, cells, notes, and rendering — regardless of scheduling — and
+// the serial rendering must match the whole paper pinned in
+// testdata/figures.golden.
 func TestParallelRunAllMatchesSerial(t *testing.T) {
 	render := func(par int) ([]byte, []byte) {
 		h, err := NewHarness()
@@ -39,6 +80,7 @@ func TestParallelRunAllMatchesSerial(t *testing.T) {
 		return buf.Bytes(), js
 	}
 	serialTxt, serialJSON := render(1)
+	checkGolden(t, "figures.golden", serialTxt)
 	parallelTxt, parallelJSON := render(8)
 	if !bytes.Equal(serialTxt, parallelTxt) {
 		t.Error("parallel RunAll rendered output differs from serial")

@@ -555,7 +555,7 @@ func (s *Server) computeSelect(ctx context.Context, app string, pred *core.Predi
 	// never lets a stale estimate survive one.
 	if ep := s.estEpoch.Load() + 1; ss.bwEpoch != ep {
 		bsp := reqtrace.Child(ctx, "bandwidth-refresh")
-		for _, site := range s.opts.Sites {
+		for _, site := range s.sites {
 			if err := ss.svc.SetBandwidth(site.Name, site.Cluster, s.pathBandwidth(site)); err != nil {
 				ss.mu.Unlock()
 				bsp.End()

@@ -75,11 +75,6 @@ type Options struct {
 	// selects a fresh in-memory store that grows by adopting
 	// self-profiled applications.
 	Store *profile.Store
-	// Sites and Offers describe the selection topology. Defaults mirror
-	// the fgselect demo: two repository sites and three Pentium-cluster
-	// compute offers.
-	Sites  []Site
-	Offers []grid.ComputeOffer
 	// MaxInFlight bounds concurrently handled requests (default
 	// 4×GOMAXPROCS); excess requests get 503.
 	MaxInFlight int
@@ -139,6 +134,11 @@ type Server struct {
 	store   *profile.Store
 	start   time.Time
 	lim     *limiter
+
+	// sites and offers are the selection topology: DefaultSites and
+	// DefaultOffers, the fgselect demo's.
+	sites  []Site
+	offers []grid.ComputeOffer
 
 	// engine is the incremental rank engine behind /select: candidate
 	// tables are cached per (dataset, variant) and only predictions
@@ -202,12 +202,6 @@ func New(opts Options) (*Server, error) {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = 30 * time.Second
 	}
-	if len(opts.Sites) == 0 {
-		opts.Sites = DefaultSites()
-	}
-	if len(opts.Offers) == 0 {
-		opts.Offers = DefaultOffers()
-	}
 	if opts.Variant == "" {
 		opts.Variant = "global"
 	}
@@ -237,6 +231,8 @@ func New(opts Options) (*Server, error) {
 		store:     store,
 		start:     time.Now(),
 		lim:       newLimiter(opts.MaxInFlight),
+		sites:     DefaultSites(),
+		offers:    DefaultOffers(),
 		engine:    grid.NewRankEngine(),
 		selSvcs:   make(map[string]*selService),
 		batchPool: workpool.New(0),
@@ -383,7 +379,7 @@ func (s *Server) selectionService(spec adr.DatasetSpec) (*selService, error) {
 	// Build outside the map lock: partitioning a large dataset is real
 	// work and unrelated datasets should not wait on it.
 	svc := grid.NewService()
-	for _, site := range s.opts.Sites {
+	for _, site := range s.sites {
 		layout, err := adr.Partition(spec, site.StorageNodes, adr.RoundRobin)
 		if err != nil {
 			return nil, fmt.Errorf("fgservice: partitioning for %s: %w", site.Name, err)
@@ -400,7 +396,7 @@ func (s *Server) selectionService(spec adr.DatasetSpec) (*selService, error) {
 			return nil, err
 		}
 	}
-	for _, off := range s.opts.Offers {
+	for _, off := range s.offers {
 		if err := svc.AddOffer(off); err != nil {
 			return nil, err
 		}

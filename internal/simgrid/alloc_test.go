@@ -7,9 +7,9 @@ import (
 
 // TestWaitResumeAllocFree is the allocation regression gate for the
 // engine's hottest path: a steady-state Wait/resume cycle must not touch
-// the heap. Fixed per-simulation setup costs (engine, goroutine, proc
-// slab, heap growth) are cancelled out by differencing a short run
-// against a long one.
+// the heap. Fixed per-simulation setup costs (engine, goroutine, Proc
+// struct and its place on the process list, heap growth) are cancelled
+// out by differencing a short run against a long one.
 func TestWaitResumeAllocFree(t *testing.T) {
 	run := func(waits int) float64 {
 		return testing.AllocsPerRun(20, func() {

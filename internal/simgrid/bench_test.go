@@ -43,8 +43,9 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkSpawn measures process creation and teardown, exercising the
-// proc slab and free-list reuse across short-lived processes.
+// BenchmarkSpawn measures process creation and teardown across
+// short-lived processes: each Spawn allocates its Proc, resume channel and
+// goroutine closure, and the Proc stays on the engine's process list.
 func BenchmarkSpawn(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()

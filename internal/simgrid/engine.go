@@ -10,8 +10,14 @@
 // Ties are broken by event sequence number, so simulations are fully
 // deterministic and repeatable.
 //
-// An Engine confines all of its mutable state (clock, calendar, blocked
-// set) to itself and runs exactly one process at a time, so independent
+// Each process carries its own state (why it last parked, whether it has
+// finished, a resource unit handed to it while it waited), and the engine
+// keeps its processes in one list in spawn order: a deadlock report walks
+// that list, and after a failure the engine unwinds every unfinished
+// process along it, so a failed run leaves no goroutine behind.
+//
+// An Engine confines all of its mutable state (clock, calendar, process
+// list) to itself and runs exactly one process at a time, so independent
 // Engines may run concurrently on separate goroutines without any
 // synchronization between them — the property the bench package's
 // parallel sweep runner relies on.
@@ -28,24 +34,9 @@ type Engine struct {
 	now     time.Duration
 	events  eventHeap
 	seq     uint64
-	procSeq int
-	active  int // processes spawned and not yet finished
-	blocked map[*Proc]blockReason
-	yield   chan yieldMsg
+	procs   []*Proc // every spawned process, in spawn order
+	yield   chan struct{}
 	failure error
-
-	// procSlab hands out Proc structs from block allocations and
-	// freeProcs recycles completed processes' structs (and their resume
-	// channels), so a simulation that spawns many short-lived processes
-	// does not pay one heap allocation per Spawn.
-	procSlab  []Proc
-	freeProcs []*Proc
-}
-
-type yieldMsg struct {
-	proc *Proc
-	done bool
-	err  error
 }
 
 // event is one calendar entry. Events live inline in the heap slice —
@@ -136,10 +127,7 @@ func (r blockReason) String() string {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{
-		yield:   make(chan yieldMsg),
-		blocked: make(map[*Proc]blockReason),
-	}
+	return &Engine{yield: make(chan struct{})}
 }
 
 // Now reports the current virtual time.
@@ -148,11 +136,13 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Proc is a simulated process. All blocking methods must be called from
 // the process's own body function.
 type Proc struct {
-	e      *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	err    error
+	e       *Engine
+	name    string
+	resume  chan struct{}
+	err     error
+	parked  blockReason // why the process last parked
+	done    bool        // the body has returned, failed or been skipped
+	granted bool        // a Release handed this process a unit while it waited
 }
 
 // Name reports the name given at Spawn.
@@ -161,40 +151,13 @@ func (p *Proc) Name() string { return p.name }
 // Now reports the current virtual time.
 func (p *Proc) Now() time.Duration { return p.e.now }
 
-// procSlabSize is how many Proc structs one slab allocation covers.
-const procSlabSize = 64
-
-// newProc returns a Proc for a fresh spawn, recycling a completed
-// process's struct and resume channel when one is available and drawing
-// from the current slab otherwise.
-func (e *Engine) newProc(name string) *Proc {
-	e.procSeq++
-	if n := len(e.freeProcs); n > 0 {
-		p := e.freeProcs[n-1]
-		e.freeProcs = e.freeProcs[:n-1]
-		*p = Proc{e: e, id: e.procSeq, name: name, resume: p.resume}
-		return p
-	}
-	if len(e.procSlab) == 0 {
-		e.procSlab = make([]Proc, procSlabSize)
-	}
-	p := &e.procSlab[0]
-	e.procSlab = e.procSlab[1:]
-	*p = Proc{e: e, id: e.procSeq, name: name, resume: make(chan struct{})}
-	return p
-}
-
 // Spawn registers a new process. The body runs when Run is called (or
 // immediately at the current virtual time if the simulation is already
-// running). A body may itself spawn further processes.
-//
-// The returned *Proc identifies the process only while it is live: once
-// the process has finished and Run has observed its completion, the
-// engine may recycle the struct for a later Spawn, so callers must not
-// retain the pointer past the process's lifetime.
+// running). A body may itself spawn further processes. If the run fails
+// before the process is first scheduled, its body never runs.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := e.newProc(name)
-	e.active++
+	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	e.procs = append(e.procs, p)
 	go func() {
 		<-p.resume // wait for first scheduling
 		defer func() {
@@ -203,9 +166,12 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 					p.err = fmt.Errorf("simgrid: process %q panicked: %v", name, r)
 				}
 			}
-			e.yield <- yieldMsg{proc: p, done: true, err: p.err}
+			p.done = true
+			e.yield <- struct{}{}
 		}()
-		body(p)
+		if e.failure == nil {
+			body(p)
+		}
 	}()
 	e.schedule(e.now, p)
 	return p
@@ -219,13 +185,11 @@ func (e *Engine) schedule(at time.Duration, p *Proc) {
 // park blocks the calling process until the engine resumes it. reason is
 // recorded for deadlock diagnostics.
 func (p *Proc) park(reason blockReason) {
-	p.e.blocked[p] = reason
-	p.e.yield <- yieldMsg{proc: p}
+	p.parked = reason
+	p.e.yield <- struct{}{}
 	<-p.resume
-	delete(p.e.blocked, p)
 	if p.e.failure != nil {
-		// The engine is shutting down after another process failed;
-		// unwind this process too.
+		// The run has failed or deadlocked; unwind this process too.
 		panic(abortSignal{})
 	}
 }
@@ -253,74 +217,54 @@ func (p *Proc) Fail(err error) {
 
 // Run executes the simulation until no events remain. It returns an error
 // if a process failed or panicked, or if all remaining processes are
-// blocked with no pending event (deadlock).
+// blocked with no pending event (deadlock). Either way every unfinished
+// process is unwound before Run returns.
 func (e *Engine) Run() error {
-	for e.active > 0 {
-		if len(e.events) == 0 {
-			return e.deadlock()
-		}
+	for e.failure == nil && len(e.events) > 0 {
 		ev := e.events.pop()
 		if ev.at < e.now {
-			return fmt.Errorf("simgrid: event scheduled in the past (%v < %v)", ev.at, e.now)
+			e.failure = fmt.Errorf("simgrid: event scheduled in the past (%v < %v)", ev.at, e.now)
+			break
 		}
 		e.now = ev.at
-		ev.proc.resume <- struct{}{}
-		msg := <-e.yield
-		if msg.done {
-			e.active--
-			if msg.err != nil && e.failure == nil {
-				e.failure = msg.err
-			}
-			if e.failure == nil {
-				e.freeProcs = append(e.freeProcs, msg.proc)
-			}
-		}
-		if e.failure != nil {
-			e.drain()
-			return e.failure
-		}
-	}
-	return nil
-}
-
-// drain unwinds all still-parked processes after a failure so their
-// goroutines terminate.
-func (e *Engine) drain() {
-	// Wake every parked process; park() observes e.failure and aborts.
-	procs := make([]*Proc, 0, len(e.blocked))
-	for p := range e.blocked {
-		procs = append(procs, p)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
-	for _, p := range procs {
+		p := ev.proc
 		p.resume <- struct{}{}
-		msg := <-e.yield
-		if msg.done {
-			e.active--
-		}
+		<-e.yield
+		e.failure = p.err // set only once the process has finished
 	}
-	// Processes still sitting in the event queue (not parked in a resource)
-	// are woken likewise.
-	for len(e.events) > 0 {
-		ev := e.events.pop()
-		select {
-		case ev.proc.resume <- struct{}{}:
-			msg := <-e.yield
-			if msg.done {
-				e.active--
-			}
-		default:
+	if e.failure == nil {
+		e.failure = e.deadlock()
+	}
+	if e.failure != nil {
+		e.drain()
+	}
+	return e.failure
+}
+
+// drain wakes every unfinished process in spawn order once the run has
+// failed, so its goroutine terminates: a parked process panics out of
+// park, and one that has not started skips its body.
+func (e *Engine) drain() {
+	for _, p := range e.procs {
+		for !p.done { // a deferred call in the body may park again
+			p.resume <- struct{}{}
+			<-e.yield
 		}
 	}
 }
 
+// deadlock reports every unfinished process and why it is parked, sorted,
+// or nil if every process has finished. With an empty calendar each
+// unfinished process is parked on a resource, mailbox or barrier.
 func (e *Engine) deadlock() error {
-	if len(e.blocked) == 0 {
-		return fmt.Errorf("simgrid: %d process(es) unaccounted for with an empty calendar", e.active)
+	var names []string
+	for _, p := range e.procs {
+		if !p.done {
+			names = append(names, fmt.Sprintf("%s (%s)", p.name, p.parked))
+		}
 	}
-	names := make([]string, 0, len(e.blocked))
-	for p, reason := range e.blocked {
-		names = append(names, fmt.Sprintf("%s (%s)", p.name, reason))
+	if names == nil {
+		return nil
 	}
 	sort.Strings(names)
 	return fmt.Errorf("simgrid: deadlock at %v; blocked: %v", e.now, names)

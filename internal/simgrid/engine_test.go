@@ -3,6 +3,7 @@ package simgrid
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +152,94 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "stuck") {
 		t.Fatalf("deadlock error %v does not name the blocked process", err)
+	}
+}
+
+// TestDeadlockNamesEveryParkedProcess parks one process on each of a
+// resource, a mailbox and a barrier with nothing left on the calendar: the
+// report lists all three, sorted, and Run unwinds them before returning.
+func TestDeadlockNamesEveryParkedProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	disk := e.NewResource("disk", 1)
+	box := e.NewMailbox("box")
+	sync := e.NewBarrier("sync", 2)
+	e.Spawn("holder", func(p *Proc) {
+		p.Acquire(disk) // never released
+		p.Wait(time.Second)
+	})
+	e.Spawn("receiver", func(p *Proc) { p.Get(box) })
+	e.Spawn("arriver", func(p *Proc) { p.Arrive(sync) })
+	e.Spawn("acquirer", func(p *Proc) { p.Acquire(disk) })
+	err := e.Run()
+	want := "simgrid: deadlock at 1s; blocked: [acquirer (acquire disk) arriver (barrier sync) receiver (recv box)]"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run() = %v\nwant %s", err, want)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestFailUnwindsEveryProcess fails a run while one process is parked on
+// each kind of blocking call and another, spawned just before the failure,
+// has not started yet. Run must unwind both: the parked one through its
+// deferred calls, the unstarted one without running its body, and neither
+// may leave its goroutine behind.
+func TestFailUnwindsEveryProcess(t *testing.T) {
+	boom := errors.New("boom")
+	rows := []struct {
+		kind  string
+		block func(p *Proc, disk *Resource, box *Mailbox, sync *Barrier)
+	}{
+		{"wait", func(p *Proc, _ *Resource, _ *Mailbox, _ *Barrier) { p.Wait(time.Hour) }},
+		{"acquire", func(p *Proc, disk *Resource, _ *Mailbox, _ *Barrier) { p.Acquire(disk) }},
+		{"recv", func(p *Proc, _ *Resource, box *Mailbox, _ *Barrier) { p.Get(box) }},
+		{"barrier", func(p *Proc, _ *Resource, _ *Mailbox, sync *Barrier) { p.Arrive(sync) }},
+	}
+	for _, row := range rows {
+		t.Run(row.kind, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEngine()
+			disk := e.NewResource("disk", 1)
+			box := e.NewMailbox("box")
+			sync := e.NewBarrier("sync", 3)
+			unwound, lateRan := false, false
+			e.Spawn("failer", func(p *Proc) {
+				p.Acquire(disk)
+				p.Wait(time.Millisecond)
+				e.Spawn("late", func(p *Proc) {
+					lateRan = true
+					row.block(p, disk, box, sync)
+				})
+				p.Fail(boom)
+			})
+			e.Spawn("parked", func(p *Proc) {
+				defer func() { unwound = true }()
+				row.block(p, disk, box, sync)
+			})
+			if err := e.Run(); !errors.Is(err, boom) {
+				t.Fatalf("Run() = %v, want %v", err, boom)
+			}
+			if !unwound {
+				t.Error("the parked process was not unwound")
+			}
+			if lateRan {
+				t.Error("a process spawned before the failure ran its body after it")
+			}
+			waitGoroutines(t, before)
+		})
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// want: a process's goroutine exits just after Run has seen it finish.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running, want %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -14,7 +14,6 @@ type Resource struct {
 	capacity int
 	inUse    int
 	waiters  []*Proc
-	granted  map[*Proc]int // tokens granted but not yet claimed after wake
 
 	busy      time.Duration // total held time across holders
 	lastStart map[*Proc]time.Duration
@@ -29,7 +28,6 @@ func (e *Engine) NewResource(name string, capacity int) *Resource {
 		e:         e,
 		name:      name,
 		capacity:  capacity,
-		granted:   make(map[*Proc]int),
 		lastStart: make(map[*Proc]time.Duration),
 	}
 }
@@ -54,13 +52,10 @@ func (p *Proc) Acquire(r *Resource) {
 	r.waiters = append(r.waiters, p)
 	p.park(blockReason{op: opAcquire, name: r.name})
 	// Woken by Release, which already transferred the unit to us.
-	if r.granted[p] == 0 {
+	if !p.granted {
 		panic(fmt.Sprintf("simgrid: %s woken without grant on %s", p.name, r.name))
 	}
-	r.granted[p]--
-	if r.granted[p] == 0 {
-		delete(r.granted, p)
-	}
+	p.granted = false
 	r.lastStart[p] = r.e.now
 }
 
@@ -78,7 +73,7 @@ func (p *Proc) Release(r *Resource) {
 	if len(r.waiters) > 0 {
 		next := popProc(&r.waiters)
 		r.inUse++ // unit transferred directly to the waiter
-		r.granted[next]++
+		next.granted = true
 		r.e.schedule(r.e.now, next)
 	}
 }
