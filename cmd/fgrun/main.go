@@ -143,14 +143,8 @@ func runSimulated(w io.Writer, grid *middleware.Grid, a apps.App, app string, to
 	if err != nil {
 		return err
 	}
-	var sink middleware.Sink
-	switch {
-	case traceJSON:
-		sink = middleware.NewJSONSink(w)
-	case trace:
-		sink = middleware.NewTextSink(w)
-	}
-	res, err := grid.SimulateOpts(cost, spec, cfg, middleware.SimOptions{Faults: faults, Trace: sink})
+	res, err := grid.SimulateOpts(cost, spec, cfg,
+		middleware.SimOptions{Faults: faults, Trace: traceSink(w, trace, traceJSON)})
 	if err != nil {
 		return err
 	}
@@ -176,15 +170,8 @@ func runLocal(w io.Writer, a apps.App, app string, total units.Bytes,
 	if err != nil {
 		fail(err)
 	}
-	var sink middleware.Sink
-	switch {
-	case traceJSON:
-		sink = middleware.NewJSONSink(w)
-	case trace:
-		sink = middleware.NewTextSink(w)
-	}
 	res, err := middleware.RunLocalOpts(kernel, spec, data, compute,
-		middleware.LocalOptions{Faults: faults, Trace: sink})
+		middleware.LocalOptions{Faults: faults, Trace: traceSink(w, trace, traceJSON)})
 	if err != nil {
 		fail(err)
 	}
@@ -193,6 +180,18 @@ func runLocal(w io.Writer, a apps.App, app string, total units.Bytes,
 	fmt.Fprintf(w, "  wall time:   %v over %d pass(es)\n", res.Elapsed.Round(time.Millisecond), res.Iterations)
 	printRecovery(w, res.Recovery, res.Retries)
 	printProfile(w, res.Profile)
+}
+
+// traceSink returns the phase-trace sink the -trace/-trace-json flags
+// ask for, writing to w (nil: no trace; JSON wins when both are set).
+func traceSink(w io.Writer, trace, traceJSON bool) middleware.Sink {
+	switch {
+	case traceJSON:
+		return middleware.NewJSONSink(w)
+	case trace:
+		return middleware.NewTextSink(w)
+	}
+	return nil
 }
 
 // resolveFaults builds the run's fault plan from the CLI flags: an

@@ -167,7 +167,7 @@ func (h *Harness) AblationStorageScaling(app string) (AblationResult, error) {
 // variant collapses it into plain t_d, the paper's memory-caching
 // assumption.
 func (h *Harness) AblationDiskCache(app string) (AblationResult, error) {
-	opts := middleware.SimOptions{Cache: middleware.CacheSpec{Mode: middleware.CacheLocalDisk}}
+	opts := middleware.SimOptions{Cache: middleware.CacheLocalDisk}
 	baseline, err := h.maxPredictionError(app, opts, nil)
 	if err != nil {
 		return AblationResult{}, err

@@ -34,11 +34,11 @@ var (
 // simulated backend is a pure function of exactly these (the harness
 // always runs the default protocol options), so equal keys always yield
 // equal SimResults, which is what makes memoization safe. Runs with
-// non-default protocol options — fault plans, ablation variants,
-// straggler injection — are not covered by this key and MUST bypass the
-// cache: the ablations therefore call Harness.SimulateOpts. If the
-// harness ever sweeps such options, the deviating fields (including the
-// fault plan) have to become part of the key.
+// non-default protocol options — fault plans, ablation variants — are
+// not covered by this key and MUST bypass the cache: the ablations
+// therefore call Harness.SimulateOpts. If the harness ever sweeps such
+// options, the deviating fields (including the fault plan) have to
+// become part of the key.
 type simKey struct {
 	app          string
 	total, chunk units.Bytes

@@ -3,7 +3,6 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -67,19 +66,6 @@ func (e *BandwidthEstimator) Observe(site, cluster string, s TransferSample) err
 	return nil
 }
 
-// Feed returns an observation callback bound to one path, in the shape
-// the middleware's SimOptions.Transfers hook expects: wired into a run,
-// every completed chunk delivery becomes a sample for the path, so a
-// degraded repository (slow disk, retried deliveries) drags the path's
-// estimated bandwidth down and the next selection round prefers a
-// healthier replica. Unusable samples are dropped silently — the feed is
-// an observer, never a failure source.
-func (e *BandwidthEstimator) Feed(site, cluster string) func(units.Bytes, time.Duration) {
-	return func(b units.Bytes, elapsed time.Duration) {
-		_ = e.Observe(site, cluster, TransferSample{Bytes: b, Elapsed: elapsed})
-	}
-}
-
 // Samples reports how many observations a path currently holds.
 func (e *BandwidthEstimator) Samples(site, cluster string) int {
 	e.mu.Lock()
@@ -135,36 +121,4 @@ func (e *BandwidthEstimator) Estimate(site, cluster string) (units.Rate, time.Du
 		return 0, 0, fmt.Errorf("grid: path %s->%s has no usable bandwidth signal", site, cluster)
 	}
 	return units.Rate(med), 0, nil
-}
-
-// Paths lists the observed paths, sorted.
-func (e *BandwidthEstimator) Paths() [][2]string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([][2]string, 0, len(e.samples))
-	for k := range e.samples {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// FillService writes every estimable path's bandwidth into the
-// information service, making the estimator the service's b̂ source.
-func (e *BandwidthEstimator) FillService(svc *Service) error {
-	for _, path := range e.Paths() {
-		bw, _, err := e.Estimate(path[0], path[1])
-		if err != nil {
-			continue // paths without enough signal keep their old value
-		}
-		if err := svc.SetBandwidth(path[0], path[1], bw); err != nil {
-			return err
-		}
-	}
-	return nil
 }

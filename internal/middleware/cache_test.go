@@ -29,8 +29,7 @@ func simulateOpts(t *testing.T, g *Grid, app string, total units.Bytes, cfg core
 }
 
 func TestCacheModeStrings(t *testing.T) {
-	if CacheMemory.String() != "memory" || CacheLocalDisk.String() != "local-disk" ||
-		CacheRemote.String() != "remote" {
+	if CacheMemory.String() != "memory" || CacheLocalDisk.String() != "local-disk" {
 		t.Error("cache mode strings changed")
 	}
 	if CacheMode(9).String() == "" {
@@ -52,7 +51,7 @@ func TestLocalDiskCachingChargesRetrieval(t *testing.T) {
 	total := 128 * units.MB
 	cfg := config(1, 2, total)
 	mem := simulateOpts(t, g, "kmeans", total, cfg, SimOptions{})
-	disk := simulateOpts(t, g, "kmeans", total, cfg, SimOptions{Cache: CacheSpec{Mode: CacheLocalDisk}})
+	disk := simulateOpts(t, g, "kmeans", total, cfg, SimOptions{Cache: CacheLocalDisk})
 	if disk.Profile.TdiskCached <= 0 {
 		t.Fatal("local-disk caching recorded no cached retrieval")
 	}
@@ -71,44 +70,6 @@ func TestLocalDiskCachingChargesRetrieval(t *testing.T) {
 	}
 }
 
-func TestRemoteCachingBetweenMemoryAndOrigin(t *testing.T) {
-	g := testGrid(t)
-	total := 128 * units.MB
-	cfg := config(1, 2, total)
-	mem := simulateOpts(t, g, "kmeans", total, cfg, SimOptions{})
-	remote := simulateOpts(t, g, "kmeans", total, cfg, SimOptions{
-		Cache: CacheSpec{Mode: CacheRemote, Bandwidth: 400 * units.MBPerSec, Latency: 100 * time.Microsecond},
-	})
-	if remote.Profile.TdiskCached <= 0 {
-		t.Fatal("remote caching recorded no cached retrieval")
-	}
-	if remote.Makespan <= mem.Makespan {
-		t.Fatal("remote caching not slower than memory caching")
-	}
-	// A fast cache site must beat re-fetching from the slow origin
-	// repository every pass; compare against local-disk at origin speed.
-	slow := simulateOpts(t, g, "kmeans", total, cfg, SimOptions{
-		Cache: CacheSpec{Mode: CacheRemote, Bandwidth: 10 * units.MBPerSec},
-	})
-	if remote.Makespan >= slow.Makespan {
-		t.Fatal("faster cache site did not reduce the makespan")
-	}
-}
-
-func TestRemoteCacheNeedsBandwidth(t *testing.T) {
-	g := testGrid(t)
-	total := 64 * units.MB
-	a, _ := apps.Get("kmeans")
-	spec := pointsSpec(total)
-	cost, _ := a.Cost(spec)
-	_, err := g.SimulateOpts(cost, spec, config(1, 1, total), SimOptions{
-		Cache: CacheSpec{Mode: CacheRemote},
-	})
-	if err == nil {
-		t.Fatal("remote cache without bandwidth accepted")
-	}
-}
-
 // TestCachedPredictionExtension checks the model extension: with disk
 // caching, a profile-seeded predictor that splits first-pass and cached
 // retrieval stays accurate when the compute-node count changes (cached
@@ -116,7 +77,7 @@ func TestRemoteCacheNeedsBandwidth(t *testing.T) {
 func TestCachedPredictionExtension(t *testing.T) {
 	g := testGrid(t)
 	total := 256 * units.MB
-	opts := SimOptions{Cache: CacheSpec{Mode: CacheLocalDisk}}
+	opts := SimOptions{Cache: CacheLocalDisk}
 	base := simulateOpts(t, g, "kmeans", total, config(1, 1, total), opts)
 	a, _ := apps.Get("kmeans")
 	pred, err := core.NewPredictor(base.Profile, a.Model)
@@ -143,77 +104,11 @@ func TestCachedPredictionExtension(t *testing.T) {
 	}
 }
 
-func TestStragglerSlowsRun(t *testing.T) {
-	g := testGrid(t)
-	total := 128 * units.MB
-	cfg := config(2, 4, total)
-	clean := simulateOpts(t, g, "em", total, cfg, SimOptions{})
-	hurt := simulateOpts(t, g, "em", total, cfg, SimOptions{StragglerNode: 2, StragglerFactor: 3})
-	if hurt.Makespan <= clean.Makespan {
-		t.Fatalf("straggler did not slow the run: %v vs %v", hurt.Makespan, clean.Makespan)
-	}
-	// A 3x slowdown of one of four nodes bounds the pass time by ~3x the
-	// balanced share; the whole run must be well below a uniform 3x.
-	if hurt.Makespan > 3*clean.Makespan {
-		t.Fatalf("straggler slowed the whole run more than its own share allows: %v vs %v",
-			hurt.Makespan, clean.Makespan)
-	}
-}
-
-func TestStragglerBreaksPrediction(t *testing.T) {
-	// Failure injection: a straggler invisible to the profile makes the
-	// (healthy-cluster) prediction optimistic — robustness boundary of
-	// the paper's model.
-	g := testGrid(t)
-	total := 128 * units.MB
-	base := simulateOpts(t, g, "em", total, config(1, 1, total), SimOptions{})
-	a, _ := apps.Get("em")
-	pred, err := core.NewPredictor(base.Profile, a.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal, _ := core.CalibrateLink(g.MeasureIC("pentium-myrinet"))
-	pred.Links["pentium-myrinet"] = cal
-	cfg := config(2, 4, total)
-	hurt := simulateOpts(t, g, "em", total, cfg, SimOptions{StragglerNode: 1, StragglerFactor: 4})
-	p, err := pred.Predict(cfg, core.GlobalReduction)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Texec().Seconds() >= hurt.Makespan.Seconds() {
-		t.Fatal("prediction not optimistic under an injected straggler")
-	}
-	e := stats.RelError(hurt.Makespan.Seconds(), p.Texec().Seconds())
-	if e < 0.2 {
-		t.Fatalf("4x straggler on 1 of 4 nodes only moved the error to %.1f%%; injection ineffective", 100*e)
-	}
-}
-
-func TestStragglerValidation(t *testing.T) {
-	g := testGrid(t)
-	total := 64 * units.MB
-	a, _ := apps.Get("kmeans")
-	spec := pointsSpec(total)
-	cost, _ := a.Cost(spec)
-	_, err := g.SimulateOpts(cost, spec, config(1, 2, total), SimOptions{
-		StragglerNode: 7, StragglerFactor: 2,
-	})
-	if err == nil {
-		t.Fatal("out-of-range straggler accepted")
-	}
-	// Factor <= 1 disables the straggler even with a bogus node index.
-	if _, err := g.SimulateOpts(cost, spec, config(1, 2, total), SimOptions{
-		StragglerNode: 7, StragglerFactor: 0.5,
-	}); err != nil {
-		t.Fatalf("disabled straggler rejected: %v", err)
-	}
-}
-
 func TestProfileValidateCachedField(t *testing.T) {
 	g := testGrid(t)
 	total := 64 * units.MB
 	res := simulateOpts(t, g, "kmeans", total, config(1, 2, total),
-		SimOptions{Cache: CacheSpec{Mode: CacheLocalDisk}})
+		SimOptions{Cache: CacheLocalDisk})
 	if err := res.Profile.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,13 @@
 package middleware
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"freerideg/internal/adr"
 	"freerideg/internal/apps"
@@ -238,5 +242,56 @@ func TestAllNodesCrashedRejected(t *testing.T) {
 	k := kmeansKernel(t, localSpec("points"))
 	if _, err := RunLocalOpts(k, localSpec("points"), 1, 2, LocalOptions{Faults: &plan}); err == nil {
 		t.Error("all-nodes-crash plan accepted by local backend")
+	}
+}
+
+// A chunk delivery is retried maxRetries times and then aborts the run,
+// on both backends: at 1-1 a flaky link dropping the first five
+// deliveries is ridden out with exactly five retries, one dropping six
+// fails the sixth attempt. The aborted goroutine run must leave no
+// goroutine behind.
+func TestRetryExhaustion(t *testing.T) {
+	g := testGrid(t)
+	total := 64 * units.MB
+	a, _ := apps.Get("kmeans")
+	simSpec := pointsSpec(total)
+	cost, err := a.Cost(simSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lspec := localSpec("points")
+	plan := func(count int) *simgrid.FaultPlan {
+		p, err := simgrid.ParseFaultPlan(fmt.Sprintf("flaky-link node=0 count=%d", count))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &p
+	}
+	const wantErr = "failed after 6 attempts"
+
+	res, err := g.SimulateOpts(cost, simSpec, config(1, 1, total), SimOptions{Faults: plan(maxRetries)})
+	if err != nil || res.Retries != maxRetries {
+		t.Errorf("sim, %d drops: %d retries, err %v; want %d retries", maxRetries, res.Retries, err, maxRetries)
+	}
+	_, err = g.SimulateOpts(cost, simSpec, config(1, 1, total), SimOptions{Faults: plan(maxRetries + 1)})
+	if err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Errorf("sim, %d drops: err %v, want %q", maxRetries+1, err, wantErr)
+	}
+
+	lres, err := RunLocalOpts(kmeansKernel(t, lspec), lspec, 1, 1, LocalOptions{Faults: plan(maxRetries)})
+	if err != nil || lres.Retries != maxRetries {
+		t.Errorf("local, %d drops: %d retries, err %v; want %d retries", maxRetries, lres.Retries, err, maxRetries)
+	}
+	before := runtime.NumGoroutine()
+	_, err = RunLocalOpts(kmeansKernel(t, lspec), lspec, 1, 1, LocalOptions{Faults: plan(maxRetries + 1)})
+	if err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Errorf("local, %d drops: err %v, want %q", maxRetries+1, err, wantErr)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the aborted run, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

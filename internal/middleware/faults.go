@@ -5,50 +5,20 @@ import (
 	"sync"
 	"time"
 
+	"freerideg/internal/adr"
 	"freerideg/internal/simgrid"
 )
 
-// RecoverySpec tunes the middleware's failure handling: how often a
-// failed chunk delivery is retried, how quickly the retry delay grows,
-// and how long the master waits before declaring a silent compute node
-// dead and re-partitioning its chunks. The zero value means
-// DefaultRecovery.
-type RecoverySpec struct {
-	// MaxRetries bounds the retries per chunk delivery; a chunk whose
-	// delivery fails MaxRetries+1 times aborts the run.
-	MaxRetries int
-	// Backoff is the delay before the first retry; it doubles with every
-	// further attempt (exponential backoff).
-	Backoff time.Duration
-	// DetectTimeout is the master's failure-detection latency: the time
-	// between a compute node going silent and its chunks being re-dealt
-	// to the survivors.
-	DetectTimeout time.Duration
-}
-
-// DefaultRecovery returns the middleware's default recovery parameters.
-func DefaultRecovery() RecoverySpec {
-	return RecoverySpec{
-		MaxRetries:    5,
-		Backoff:       40 * time.Millisecond,
-		DetectTimeout: 250 * time.Millisecond,
-	}
-}
-
-// withDefaults fills unset (zero or negative) fields from DefaultRecovery.
-func (r RecoverySpec) withDefaults() RecoverySpec {
-	def := DefaultRecovery()
-	if r.MaxRetries <= 0 {
-		r.MaxRetries = def.MaxRetries
-	}
-	if r.Backoff <= 0 {
-		r.Backoff = def.Backoff
-	}
-	if r.DetectTimeout <= 0 {
-		r.DetectTimeout = def.DetectTimeout
-	}
-	return r
-}
+// The middleware's failure handling: a chunk delivery that fails
+// maxRetries+1 times aborts the run, the delay before a retry starts at
+// retryBackoff and doubles with every further attempt, and the master
+// declares a silent compute node dead (re-dealing its chunks to the
+// survivors) detectTimeout after it goes silent.
+const (
+	maxRetries    = 5
+	retryBackoff  = 40 * time.Millisecond
+	detectTimeout = 250 * time.Millisecond
+)
 
 // faultSchedule indexes a FaultPlan by target node for consultation
 // during execution. Faults addressing nodes the run does not have are
@@ -212,6 +182,61 @@ func (fs feedSet) next(i, pass, ordinal int) (simgrid.Fault, bool, bool) {
 	}
 	return fs[i].next(pass, ordinal)
 }
+
+// faultState is one run's failover layout, shared by both executors. The
+// layout is a pure function of the plan and the configuration, which is
+// what makes fault runs deterministic and lets every backend replay the
+// same plan onto the same layout; only the feeds are consumed as the
+// run's deliveries flow past. Apart from assign it is nil/empty on
+// fault-free runs.
+type faultState struct {
+	sched     *faultSchedule
+	assign    [][][]adr.Chunk // per pass, per compute node (base lists when fault-free)
+	wasted    [][]adr.Chunk   // per compute node: the prefix of its crash pass it completes
+	lost      []int           // per compute node: chunks re-dealt at its crash
+	diskFeeds feedSet
+	linkFeeds feedSet
+}
+
+// newFaultState indexes plan for n storage nodes and the compute nodes of
+// base (each one's fault-free chunk list), precomputes every pass's
+// failover assignment, and derives each crashing node's would-be list
+// for its crash pass: the assignment given the nodes already dead before
+// it. That list's length is what the crash re-deals, and the prefix the
+// node completes before dying is its discarded work.
+func newFaultState(plan *simgrid.FaultPlan, base [][]adr.Chunk, n, passes int) (faultState, error) {
+	c := len(base)
+	fs := faultState{sched: newFaultSchedule(plan, n, c)}
+	assign, err := passAssignments(base, fs.sched, passes)
+	if err != nil {
+		return faultState{}, err
+	}
+	fs.assign = assign
+	if fs.sched == nil {
+		return fs, nil
+	}
+	fs.diskFeeds = newFeedSet(fs.sched.disk)
+	fs.linkFeeds = newFeedSet(fs.sched.link)
+	fs.wasted = make([][]adr.Chunk, c)
+	fs.lost = make([]int, c)
+	for j := 0; j < c; j++ {
+		cp, ck, ok := fs.sched.crashPoint(j)
+		if !ok || cp >= passes {
+			continue
+		}
+		wouldBe := base[j]
+		if cp > 0 {
+			wouldBe = assign[cp-1][j]
+		}
+		fs.wasted[j] = wouldBe[:min(ck, len(wouldBe))]
+		fs.lost[j] = len(wouldBe)
+	}
+	return fs, nil
+}
+
+// workFor is compute node j's chunk list for a pass under the failover
+// assignment (empty from the node's crash pass on).
+func (fs *faultState) workFor(pass, j int) []adr.Chunk { return fs.assign[pass][j] }
 
 // incidentLog buffers fault/retry/failover events raised concurrently by
 // the goroutine backend's workers, so they can be flushed in a

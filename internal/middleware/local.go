@@ -64,9 +64,6 @@ type LocalOptions struct {
 	// and slow disks are marked at onset (wall-clock disk speed cannot
 	// be degraded in-process).
 	Faults *simgrid.FaultPlan
-	// Recovery tunes retry/backoff handling; the zero value means
-	// DefaultRecovery.
-	Recovery RecoverySpec
 	// Trace, when non-nil, receives the run's structured phase events
 	// (same schema as the simulated backend's SimOptions.Trace).
 	Trace Sink
@@ -153,11 +150,7 @@ func RunLocalOpts(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNo
 		overlap:   overlap,
 		n:         dataNodes,
 		c:         computeNodes,
-		targets:   chunkTargets(layout, dataNodes, computeNodes),
-		base:      chunksByCompute(layout, dataNodes, computeNodes),
 		cache:     make([]map[int]reduction.Payload, computeNodes),
-		sched:     newFaultSchedule(opts.Faults, dataNodes, computeNodes),
-		rec:       opts.Recovery.withDefaults(),
 		sink:      opts.Trace,
 		incidents: &incidentLog{},
 		start:     time.Now(),
@@ -165,31 +158,10 @@ func RunLocalOpts(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNo
 	for j := range ex.cache {
 		ex.cache[j] = make(map[int]reduction.Payload)
 	}
-	if ex.sched != nil {
-		passes := k.Iterations()
-		assign, err := passAssignments(ex.base, ex.sched, passes)
-		if err != nil {
-			return LocalResult{}, err
-		}
-		ex.assign = assign
-		ex.diskFeeds = newFeedSet(ex.sched.disk)
-		ex.linkFeeds = newFeedSet(ex.sched.link)
-		ex.lost = make([]int, computeNodes)
-		for j := range ex.lost {
-			cp, _, ok := ex.sched.crashPoint(j)
-			if !ok || cp >= passes {
-				continue
-			}
-			wouldBe := ex.base
-			if cp > 0 {
-				wb, err := reassignDead(ex.base, ex.sched.aliveAt(cp-1))
-				if err != nil {
-					return LocalResult{}, err
-				}
-				wouldBe = wb
-			}
-			ex.lost[j] = len(wouldBe[j])
-		}
+	ex.faultState, err = newFaultState(opts.Faults,
+		chunksByCompute(layout, dataNodes, computeNodes), dataNodes, k.Iterations())
+	if err != nil {
+		return LocalResult{}, err
 	}
 	pl := NewPipeline(ex, opts.Trace)
 	if err := pl.Run(); err != nil {
@@ -237,19 +209,13 @@ type localExecutor struct {
 	fields   int
 	overlap  int64
 	n, c     int
-	targets  [][]int
-	base     [][]adr.Chunk // per compute node, fault-free assignment
 	start    time.Time
 
-	// Fault-injection state (nil/empty on fault-free runs).
-	sched     *faultSchedule
-	rec       RecoverySpec
+	// The failover layout and the fault-injection state (nil/empty on
+	// fault-free runs).
+	faultState
 	sink      Sink
 	incidents *incidentLog
-	assign    [][][]adr.Chunk
-	lost      []int
-	diskFeeds feedSet
-	linkFeeds feedSet
 
 	cache   []map[int]reduction.Payload // per compute node, by chunk index
 	objs    []reduction.Object
@@ -268,15 +234,6 @@ func (ex *localExecutor) materialize(ch adr.Chunk) (reduction.Payload, error) {
 		payload.HaloBefore, payload.HaloAfter = before, after
 	}
 	return payload, nil
-}
-
-// workFor is the pass's chunk list for one compute node under the
-// failover assignment (empty from a node's crash pass on).
-func (ex *localExecutor) workFor(pass, j int) []adr.Chunk {
-	if ex.sched != nil {
-		return ex.assign[pass][j]
-	}
-	return ex.base[j]
 }
 
 // Backend implements Executor.
@@ -330,10 +287,10 @@ func (ex *localExecutor) LocalReduction(pass int) (PassStats, error) {
 }
 
 // firstPass materializes chunks on the data servers and streams them to
-// the compute servers, which cache and process them. Under fault
-// injection the delivery targets follow the pass-0 failover assignment
-// (crashed-at-0 nodes receive nothing) and flaky links force the servers
-// to re-materialize and re-send lost deliveries.
+// the compute servers, which cache and process them. Delivery targets
+// follow the pass-0 failover assignment (crashed-at-0 nodes receive
+// nothing), and flaky links force the servers to re-materialize and
+// re-send lost deliveries.
 func (ex *localExecutor) firstPass() (PassStats, error) {
 	diskTime := make([]time.Duration, ex.n)
 	errs := make(chan error, ex.n)
@@ -345,15 +302,10 @@ func (ex *localExecutor) firstPass() (PassStats, error) {
 	// channel is no longer drained, so a pending send would block forever.
 	quit := make(chan struct{})
 	var stop sync.Once
-	// Under failover, chunk ownership comes from the pass-0 assignment
-	// rather than the static delivery targets.
-	var owner map[int]int
-	if ex.sched != nil {
-		owner = make(map[int]int)
-		for j, list := range ex.assign[0] {
-			for _, ch := range list {
-				owner[ch.Index] = j
-			}
+	owner := make(map[int]int) // chunk index -> receiving compute node
+	for j := 0; j < ex.c; j++ {
+		for _, ch := range ex.workFor(0, j) {
+			owner[ch.Index] = j
 		}
 	}
 	// Data servers: retrieve (materialize) chunks and distribute them to
@@ -365,14 +317,10 @@ func (ex *localExecutor) firstPass() (PassStats, error) {
 		go func() {
 			defer serveWG.Done()
 			serveOrd := 0 // live delivery ordinal, the fault trigger coordinate
-			for i, ch := range ex.layout.NodeChunks(dn) {
-				target := ex.targets[dn][i]
-				if owner != nil {
-					t, ok := owner[ch.Index]
-					if !ok {
-						continue // unreachable: every chunk has a surviving owner
-					}
-					target = t
+			for _, ch := range ex.layout.NodeChunks(dn) {
+				target, ok := owner[ch.Index]
+				if !ok {
+					continue // unreachable: every chunk has a surviving owner
 				}
 				t0 := time.Now()
 				payload, err := ex.materialize(ch)
@@ -399,7 +347,7 @@ func (ex *localExecutor) firstPass() (PassStats, error) {
 						if !lhit {
 							break
 						}
-						if attempt > ex.rec.MaxRetries {
+						if attempt > maxRetries {
 							errs <- fmt.Errorf("middleware: delivery of chunk %d from storage node %d to node %d failed after %d attempts",
 								ch.Index, dn, target, attempt)
 							ok = false

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"freerideg/internal/adr"
 	"freerideg/internal/simgrid"
 )
 
@@ -191,5 +192,63 @@ func TestPassAssignmentsAllDeadError(t *testing.T) {
 	sched := newFaultSchedule(&plan, 1, 2)
 	if _, err := passAssignments([][]int{{0}, {1}}, sched, 4); err == nil {
 		t.Error("no error for a plan that kills every compute node")
+	}
+}
+
+// newFaultState derives a crasher's re-dealt count and discarded prefix
+// from its would-be list: its assignment given the nodes already dead
+// before its crash pass, so a later crasher's list includes what it
+// inherited from an earlier one.
+func TestNewFaultStateCrashLists(t *testing.T) {
+	chunks := func(lists [][]int) [][]adr.Chunk {
+		out := make([][]adr.Chunk, len(lists))
+		for j, l := range lists {
+			for _, i := range l {
+				out[j] = append(out[j], adr.Chunk{Index: i})
+			}
+		}
+		return out
+	}
+	indexes := func(l []adr.Chunk) []int {
+		var out []int
+		for _, ch := range l {
+			out = append(out, ch.Index)
+		}
+		return out
+	}
+	base := chunks([][]int{{0, 3}, {1, 4}, {2, 5}})
+	plan := simgrid.FaultPlan{Faults: []simgrid.Fault{
+		{Kind: simgrid.FaultCrash, Node: 1, Pass: 1, Chunk: 1},
+		{Kind: simgrid.FaultCrash, Node: 2, Pass: 3, Chunk: 2},
+	}}
+	fs, err := newFaultState(&plan, base, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 1 dies in pass 1 holding its base list; node 2 dies in pass 3
+	// holding its base list plus chunk 4, inherited from node 1.
+	if !reflect.DeepEqual(fs.lost, []int{0, 2, 3}) {
+		t.Errorf("lost = %v, want [0 2 3]", fs.lost)
+	}
+	for j, want := range [][]int{nil, {1}, {2, 5}} {
+		if got := indexes(fs.wasted[j]); !reflect.DeepEqual(got, want) {
+			t.Errorf("node %d discards %v, want %v", j, got, want)
+		}
+	}
+	if got := indexes(fs.workFor(3, 0)); !reflect.DeepEqual(got, []int{0, 3, 1, 4, 2, 5}) {
+		t.Errorf("pass 3 work of node 0 = %v, want the whole dataset", got)
+	}
+
+	free, err := newFaultState(nil, base, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free.sched != nil || free.wasted != nil || free.lost != nil {
+		t.Error("fault-free run built fault-injection state")
+	}
+	for p := 0; p < 4; p++ {
+		if got := indexes(free.workFor(p, 2)); !reflect.DeepEqual(got, []int{2, 5}) {
+			t.Errorf("fault-free pass %d work of node 2 = %v, want its base list", p, got)
+		}
 	}
 }

@@ -72,11 +72,6 @@ const (
 	// later passes re-read them at local disk speed. This exercises the
 	// middleware's "Data Caching" role when memory is insufficient.
 	CacheLocalDisk
-	// CacheRemote stages chunks at a non-local caching site (the
-	// middleware design goal the paper's implementation deferred): later
-	// passes fetch them over the network at the cache site's bandwidth,
-	// normally much better than the origin repository's.
-	CacheRemote
 )
 
 func (m CacheMode) String() string {
@@ -85,24 +80,13 @@ func (m CacheMode) String() string {
 		return "memory"
 	case CacheLocalDisk:
 		return "local-disk"
-	case CacheRemote:
-		return "remote"
 	}
 	return fmt.Sprintf("CacheMode(%d)", int(m))
 }
 
-// CacheSpec describes the caching tier used for passes after the first.
-type CacheSpec struct {
-	Mode CacheMode
-	// Bandwidth and Latency describe the non-local caching site's path to
-	// the compute nodes (CacheRemote only).
-	Bandwidth units.Rate
-	Latency   time.Duration
-}
-
 // SimOptions selects middleware protocol variants for ablation studies.
 // The zero value is the paper's protocol (serialized gather, synchronous
-// chunk-round delivery, in-memory caching, no stragglers).
+// chunk-round delivery, in-memory caching, no faults).
 type SimOptions struct {
 	// TreeGather collects reduction objects in ceil(log2 c) parallel
 	// combining rounds instead of the serialized master gather the
@@ -114,30 +98,13 @@ type SimOptions struct {
 	// decomposition the prediction model relies on).
 	AsyncDelivery bool
 	// Cache selects the caching tier for passes after the first.
-	Cache CacheSpec
-	// StragglerNode selects the compute node slowed by StragglerFactor —
-	// failure injection for robustness studies. Only meaningful when
-	// StragglerFactor > 1.
-	StragglerNode int
-	// StragglerFactor is the slowdown of the straggler node (2 = half
-	// speed). Values <= 1 disable the straggler.
-	StragglerFactor float64
+	Cache CacheMode
 	// Faults, when non-nil and non-empty, injects the plan's deterministic
 	// fault schedule into the run: compute-node crashes trigger failover
 	// re-partitioning onto the survivors, slow disks inflate retrieval,
 	// and flaky links force retried deliveries. The plan must leave at
 	// least one compute node alive.
 	Faults *simgrid.FaultPlan
-	// Recovery tunes retry/backoff and failure detection; the zero value
-	// means DefaultRecovery.
-	Recovery RecoverySpec
-	// Transfers, when non-nil, observes every successful repository-to-
-	// compute chunk delivery: the chunk's size and the end-to-end time it
-	// took (server queueing, disk read, network send, and any failed
-	// attempts with their backoff). Wire it to a
-	// grid.BandwidthEstimator's observation feed so replica re-selection
-	// sees degraded paths.
-	Transfers func(bytes units.Bytes, elapsed time.Duration)
 	// Trace, when non-nil, receives one structured Event per middleware
 	// phase (run boundaries, per-pass retrieval/delivery/local-reduce/
 	// gather/global-reduce/sync/broadcast, plus fault/retry/failover under
@@ -145,21 +112,6 @@ type SimOptions struct {
 	// deployment would emit. Use NewTextSink, NewJSONSink, or
 	// NewCollector.
 	Trace Sink
-}
-
-func (o SimOptions) validate(c int) error {
-	if o.Cache.Mode == CacheRemote && o.Cache.Bandwidth <= 0 {
-		return fmt.Errorf("middleware: remote cache needs positive bandwidth")
-	}
-	if o.StragglerFactor > 1 && (o.StragglerNode < 0 || o.StragglerNode >= c) {
-		return fmt.Errorf("middleware: straggler node %d outside 0..%d", o.StragglerNode, c-1)
-	}
-	if o.Faults != nil {
-		if err := o.Faults.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SimResult is the outcome of one simulated execution.
@@ -233,8 +185,10 @@ func (g *Grid) simulateOpts(cost reduction.CostModel, spec adr.DatasetSpec, cfg 
 	if err != nil {
 		return SimResult{}, nil, err
 	}
-	if err := opts.validate(cfg.ComputeNodes); err != nil {
-		return SimResult{}, nil, err
+	if opts.Faults != nil {
+		if err := opts.Faults.Validate(); err != nil {
+			return SimResult{}, nil, err
+		}
 	}
 
 	ex, err := newSimExecutor(cluster, cost, cfg, spec, layout, opts)
@@ -290,19 +244,13 @@ type simExecutor struct {
 	globalPerPass time.Duration
 	treeRounds    int
 
-	chunksOf [][]adr.Chunk
-	jitter   []float64
-	rounds   int
+	jitter []float64
+	rounds int
 
-	// Fault-injection state (nil/empty on fault-free runs).
-	sched     *faultSchedule
-	rec       RecoverySpec
+	// The failover layout and the fault-injection state (nil/empty on
+	// fault-free runs).
+	faultState
 	sink      Sink
-	assign    [][][]adr.Chunk // per pass, per compute node, under failover
-	wasted    [][]adr.Chunk   // per compute node: discarded work of its crash pass
-	lost      []int           // per compute node: chunks re-dealt at its crash
-	diskFeeds feedSet
-	linkFeeds feedSet
 	serveOrd  []int          // per storage node: live delivery ordinal within the pass
 	cachedSet []map[int]bool // per compute node: chunk indexes in its caching tier
 	recovery  []time.Duration
@@ -353,17 +301,11 @@ func newSimExecutor(cluster ClusterSpec, cost reduction.CostModel, cfg core.Conf
 		bandwidth:     cfg.Bandwidth,
 		roBytes:       cost.ROBytesPerNode(totalElems, c),
 		globalPerPass: time.Duration(cost.GlobalOps(totalElems, c)) * cluster.GlobalValueCost,
-		chunksOf:      chunksByCompute(layout, n, c),
 	}
 	ex.gatherMsg = cluster.ICMessageTime(ex.roBytes)
 	ex.bcastMsg = cluster.ICMessageTime(cost.BroadcastBytes)
 	for span := 1; span < c; span *= 2 {
 		ex.treeRounds++
-	}
-	for j := 0; j < c; j++ {
-		if len(ex.chunksOf[j]) > ex.rounds {
-			ex.rounds = len(ex.chunksOf[j])
-		}
 	}
 
 	// Deterministic per-chunk disk jitter.
@@ -373,21 +315,13 @@ func newSimExecutor(cluster ClusterSpec, cost reduction.CostModel, cfg core.Conf
 		ex.jitter[i] = 1 + cluster.JitterAmp*(2*jrng.Float64()-1)
 	}
 
-	// Fault-injection setup: index the plan per node, precompute every
-	// pass's failover assignment, and derive each crashing node's
-	// discarded-work prefix. All of it is a pure function of the plan and
-	// the configuration, which is what makes fault runs deterministic.
-	ex.rec = opts.Recovery.withDefaults()
-	ex.sched = newFaultSchedule(opts.Faults, n, c)
+	fs, err := newFaultState(opts.Faults, chunksByCompute(layout, n, c), n, ex.passes)
+	if err != nil {
+		return nil, err
+	}
+	ex.faultState = fs
 	ex.sink = opts.Trace
 	if ex.sched != nil {
-		assign, err := passAssignments(ex.chunksOf, ex.sched, ex.passes)
-		if err != nil {
-			return nil, err
-		}
-		ex.assign = assign
-		ex.diskFeeds = newFeedSet(ex.sched.disk)
-		ex.linkFeeds = newFeedSet(ex.sched.link)
 		ex.serveOrd = make([]int, n)
 		ex.recovery = make([]time.Duration, c)
 		ex.retries = make([]int, c)
@@ -399,42 +333,15 @@ func newSimExecutor(cluster ClusterSpec, cost reduction.CostModel, cfg core.Conf
 		for p := range ex.processed {
 			ex.processed[p] = make([]int, len(layout.Chunks()))
 		}
-		ex.wasted = make([][]adr.Chunk, c)
-		ex.lost = make([]int, c)
-		for j := 0; j < c; j++ {
-			cp, ck, ok := ex.sched.crashPoint(j)
-			if !ok || cp >= ex.passes {
-				continue
-			}
-			// The node's would-be list for its crash pass: its assignment
-			// given the nodes already dead before that pass.
-			wouldBe := ex.chunksOf
-			if cp > 0 {
-				wb, err := reassignDead(ex.chunksOf, ex.sched.aliveAt(cp-1))
-				if err != nil {
-					return nil, err
-				}
-				wouldBe = wb
-			}
-			list := wouldBe[j]
-			if ck > len(list) {
-				ck = len(list)
-			}
-			ex.wasted[j] = list[:ck]
-			ex.lost[j] = len(list)
+	}
+	// Pass-0 rounds must cover reassignment-lengthened survivor lists and
+	// pass-0 crashers' discarded prefixes.
+	for j := 0; j < c; j++ {
+		l := len(ex.workFor(0, j))
+		if cp, _, ok := ex.sched.crashPoint(j); ok && cp == 0 {
+			l = len(ex.wasted[j])
 		}
-		// Pass-0 rounds must cover reassignment-lengthened survivor lists
-		// and pass-0 crashers' discarded prefixes.
-		ex.rounds = 0
-		for j := 0; j < c; j++ {
-			l := len(ex.assign[0][j])
-			if cp, _, ok := ex.sched.crashPoint(j); ok && cp == 0 {
-				l = len(ex.wasted[j])
-			}
-			if l > ex.rounds {
-				ex.rounds = l
-			}
-		}
+		ex.rounds = max(ex.rounds, l)
 	}
 
 	// Each storage node runs a single-threaded data server: one chunk's
@@ -497,21 +404,14 @@ func (ex *simExecutor) spawnWorkers() {
 // failover assignment.
 func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 	dn := j % ex.n
-	rate := ex.effRate
-	if ex.opts.StragglerFactor > 1 && j == ex.opts.StragglerNode {
-		rate /= ex.opts.StragglerFactor
-	}
 	procTime := func(ch adr.Chunk) time.Duration {
-		return units.Seconds(float64(ch.Elems)*ex.cost.OpsPerElem/rate) + ex.cluster.ChunkOverhead
+		return units.Seconds(float64(ch.Elems)*ex.cost.OpsPerElem/ex.effRate) + ex.cluster.ChunkOverhead
 	}
 	// cachedFetch charges the per-chunk retrieval cost of a pass after
 	// the first, per the configured caching tier.
 	cachedFetch := func(ch adr.Chunk) time.Duration {
-		switch ex.opts.Cache.Mode {
-		case CacheLocalDisk:
+		if ex.opts.Cache == CacheLocalDisk {
 			return ex.cluster.DiskSeek + ex.cluster.DiskBW.TransferTime(ch.Bytes)
-		case CacheRemote:
-			return ex.opts.Cache.Latency + ex.opts.Cache.Bandwidth.TransferTime(ch.Bytes)
 		}
 		return 0
 	}
@@ -522,16 +422,9 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 	for pass := 0; pass < ex.passes; pass++ {
 		crashing := hasCrash && pass == crashPass
 		dead := hasCrash && pass > crashPass
-		var work []adr.Chunk
-		switch {
-		case dead:
-			// zombie: no work
-		case crashing:
+		work := ex.workFor(pass, j) // empty for a zombie
+		if crashing {
 			work = ex.wasted[j]
-		case ex.sched != nil:
-			work = ex.assign[pass][j]
-		default:
-			work = ex.chunksOf[j]
 		}
 		var wastedDur time.Duration
 		if pass == 0 {
@@ -596,8 +489,8 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 			// The master notices the silent node only after its detection
 			// timeout; the node's partial pass work is discarded. Both are
 			// pure recovery overhead.
-			p.Wait(ex.rec.DetectTimeout)
-			cost := wastedDur + ex.rec.DetectTimeout
+			p.Wait(detectTimeout)
+			cost := wastedDur + detectTimeout
 			ex.recovery[j] += cost
 			mwFailovers.Inc()
 			ex.emitEv(p, pass, PhaseFailover, j, cost,
@@ -629,8 +522,7 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 // fetchChunk performs one repository chunk fetch for compute node j from
 // storage node dn, riding out injected disk and link faults. Successful
 // transfers charge the storage node's disk/uplink busy time (the paper's
-// t_d/t_n accounting) and feed the Transfers observer with the
-// end-to-end elapsed time; failed attempts and their exponential backoff
+// t_d/t_n accounting); failed attempts and their exponential backoff
 // charge the fetching node's recovery time and emit retry events. When
 // wasted is true (the node is in its crash pass) nothing is charged or
 // consumed here — the caller folds the returned elapsed time into the
@@ -666,11 +558,11 @@ func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, dn, pass int, ch adr.Chunk
 		p.Wait(send)
 		p.Release(ex.servers[dn])
 		if linkDown {
-			if attempt > ex.rec.MaxRetries {
+			if attempt > maxRetries {
 				p.Fail(fmt.Errorf("middleware: delivery of chunk %d from storage node %d to node %d failed after %d attempts",
 					ch.Index, dn, j, attempt))
 			}
-			backoff := ex.rec.Backoff << (attempt - 1)
+			backoff := retryBackoff << (attempt - 1)
 			p.Wait(backoff)
 			cost := read + send + backoff
 			ex.recovery[j] += cost
@@ -682,9 +574,6 @@ func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, dn, pass int, ch adr.Chunk
 		if !wasted {
 			ex.diskBusy[dn] += read
 			ex.netBusy[dn] += send
-			if ex.opts.Transfers != nil {
-				ex.opts.Transfers(ch.Bytes, p.Now()-t0)
-			}
 		}
 		return p.Now() - t0
 	}

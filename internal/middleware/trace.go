@@ -123,24 +123,6 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Component reports which of the paper's breakdown components the
-// event's phase contributes to: "disk", "network", "compute",
-// "recovery" for fault-handling overhead that sits outside the additive
-// t_d + t_n + t_c decomposition, or "" for run-level events.
-func (ev Event) Component() string {
-	switch ev.Phase {
-	case PhaseRetrieval, PhaseCachedFetch:
-		return "disk"
-	case PhaseDelivery:
-		return "network"
-	case PhaseLocalReduce, PhaseGather, PhaseGlobalReduce, PhaseSync, PhaseBroadcast:
-		return "compute"
-	case PhaseFault, PhaseRetry, PhaseFailover:
-		return "recovery"
-	}
-	return ""
-}
-
 // Sink receives middleware events. Emit is always called from the single
 // pipeline-driving flow of a run, in event order; a Sink shared across
 // concurrent runs must serialize internally (Collector does).
@@ -225,17 +207,6 @@ func (c *Collector) PhaseTotal(ph Phase) time.Duration {
 	return c.totals[ph]
 }
 
-// PhaseTotals returns the per-phase duration sums.
-func (c *Collector) PhaseTotals() map[Phase]time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[Phase]time.Duration, len(c.totals))
-	for ph, d := range c.totals {
-		out[ph] = d
-	}
-	return out
-}
-
 // Breakdown folds the per-phase sums into the paper's three components.
 // For any single traced run this equals the returned Profile's breakdown
 // (the t_d + t_n + t_c additivity of Section 6).
@@ -247,25 +218,5 @@ func (c *Collector) Breakdown() core.Breakdown {
 		Tnetwork: c.totals[PhaseDelivery],
 		Tcompute: c.totals[PhaseLocalReduce] + c.totals[PhaseGather] +
 			c.totals[PhaseGlobalReduce] + c.totals[PhaseSync] + c.totals[PhaseBroadcast],
-	}
-}
-
-// Reset clears recorded events and totals.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.events = nil
-	c.totals = make(map[Phase]time.Duration)
-}
-
-// MultiSink fans one event stream out to several sinks.
-type MultiSink []Sink
-
-// Emit forwards the event to every sink.
-func (m MultiSink) Emit(ev Event) {
-	for _, s := range m {
-		if s != nil {
-			s.Emit(ev)
-		}
 	}
 }

@@ -147,8 +147,10 @@ func TestTraceGolden(t *testing.T) {
 func TestJSONSinkRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	col := NewCollector()
-	traceRun(t, MultiSink{NewJSONSink(&buf), col})
+	traceRun(t, col)
 	want := col.Events()
+	// The simulator is deterministic: a second run emits the same events.
+	traceRun(t, NewJSONSink(&buf))
 
 	var got []Event
 	sc := bufio.NewScanner(&buf)

@@ -15,8 +15,11 @@ type Resource struct {
 	inUse    int
 	waiters  []*Proc
 
-	busy      time.Duration // total held time across holders
-	lastStart map[*Proc]time.Duration
+	// busy integrates inUse over virtual time up to lastChange, the
+	// last Acquire or Release: total held time across holders, with no
+	// per-holder record.
+	busy       time.Duration
+	lastChange time.Duration
 }
 
 // NewResource creates a resource with the given capacity (>= 1).
@@ -24,12 +27,7 @@ func (e *Engine) NewResource(name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic(fmt.Sprintf("simgrid: resource %q capacity must be >= 1", name))
 	}
-	return &Resource{
-		e:         e,
-		name:      name,
-		capacity:  capacity,
-		lastStart: make(map[*Proc]time.Duration),
-	}
+	return &Resource{e: e, name: name, capacity: capacity}
 }
 
 // Name reports the resource name.
@@ -37,16 +35,24 @@ func (r *Resource) Name() string { return r.name }
 
 // BusyTime reports the cumulative virtual time the resource has been held,
 // summed over holders (a capacity-2 resource held by two processes for 1s
-// accumulates 2s).
+// accumulates 2s). A hold still in progress counts up to the resource's
+// last Acquire or Release.
 func (r *Resource) BusyTime() time.Duration { return r.busy }
+
+// setInUse moves the occupancy to n at the current virtual time, first
+// integrating the old occupancy since the last change.
+func (r *Resource) setInUse(n int) {
+	r.busy += time.Duration(r.inUse) * (r.e.now - r.lastChange)
+	r.lastChange = r.e.now
+	r.inUse = n
+}
 
 // Acquire takes one unit of the resource, blocking in FIFO order until a
 // unit is free. Each Acquire must be paired with a Release by the same
 // process.
 func (p *Proc) Acquire(r *Resource) {
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.inUse++
-		r.lastStart[p] = r.e.now
+		r.setInUse(r.inUse + 1)
 		return
 	}
 	r.waiters = append(r.waiters, p)
@@ -56,7 +62,6 @@ func (p *Proc) Acquire(r *Resource) {
 		panic(fmt.Sprintf("simgrid: %s woken without grant on %s", p.name, r.name))
 	}
 	p.granted = false
-	r.lastStart[p] = r.e.now
 }
 
 // Release returns one unit of the resource and wakes the first waiter,
@@ -65,17 +70,17 @@ func (p *Proc) Release(r *Resource) {
 	if r.inUse <= 0 {
 		panic(fmt.Sprintf("simgrid: release of idle resource %q by %s", r.name, p.name))
 	}
-	if start, ok := r.lastStart[p]; ok {
-		r.busy += r.e.now - start
-		delete(r.lastStart, p)
+	if len(r.waiters) == 0 {
+		r.setInUse(r.inUse - 1)
+		return
 	}
-	r.inUse--
-	if len(r.waiters) > 0 {
-		next := popProc(&r.waiters)
-		r.inUse++ // unit transferred directly to the waiter
-		next.granted = true
-		r.e.schedule(r.e.now, next)
-	}
+	// The unit transfers directly to the first waiter. The occupancy does
+	// not change, but the finished hold is integrated now, so a capacity-1
+	// resource's BusyTime is exactly its completed holds at any moment.
+	r.setInUse(r.inUse)
+	next := popProc(&r.waiters)
+	next.granted = true
+	r.e.schedule(r.e.now, next)
 }
 
 // Use acquires the resource, holds it for d of virtual time, and releases

@@ -93,6 +93,46 @@ func TestResourceBusyTime(t *testing.T) {
 	if r.BusyTime() != 6*time.Second {
 		t.Fatalf("busy time = %v, want 6s", r.BusyTime())
 	}
+
+	// One process holding two resources at once: each counts its own
+	// span of the overlap.
+	e = NewEngine()
+	disk, link := e.NewResource("disk", 1), e.NewResource("link", 1)
+	e.Spawn("both", func(p *Proc) {
+		p.Acquire(disk)
+		p.Wait(time.Second)
+		p.Acquire(link)
+		p.Wait(2 * time.Second)
+		p.Release(disk)
+		p.Wait(time.Second)
+		p.Release(link)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if disk.BusyTime() != 3*time.Second || link.BusyTime() != 3*time.Second {
+		t.Fatalf("busy times disk %v, link %v, want 3s each", disk.BusyTime(), link.BusyTime())
+	}
+
+	// Overlapping holders of a capacity-2 resource, the third queueing
+	// for the first free unit: holds [0,3], [1,2] and [2,4] sum to 6s.
+	e = NewEngine()
+	cpu := e.NewResource("cpu", 2)
+	e.Spawn("a", func(p *Proc) { p.Use(cpu, 3*time.Second) })
+	e.Spawn("b", func(p *Proc) {
+		p.Wait(time.Second)
+		p.Use(cpu, time.Second)
+	})
+	e.Spawn("c", func(p *Proc) {
+		p.Wait(time.Second)
+		p.Use(cpu, 2*time.Second)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if cpu.BusyTime() != 6*time.Second {
+		t.Fatalf("capacity-2 busy time = %v, want 6s", cpu.BusyTime())
+	}
 }
 
 func TestUseReturnsQueueingDelay(t *testing.T) {

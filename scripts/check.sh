@@ -68,15 +68,16 @@ go test -run='^Fuzz' ./internal/simgrid/ ./internal/fgservice/
 # Every command must build — a broken main is invisible to `go test`.
 go build ./cmd/...
 
-# CLI goldens: the prediction and selection commands are deterministic,
-# so their whole output is compared byte for byte against testdata/cli.
+# CLI goldens: the prediction and selection commands and the simulated
+# run are deterministic, so their whole output is compared byte for byte
+# against testdata/cli.
 # A -save/-load round trip must predict what the run that saved the
 # profile predicts: a loaded profile defaults the target bandwidth and
 # measures cross-cluster scaling factors at its own configuration, not
 # at the -base/-bw flag defaults.
 clitmp=$(mktemp -d)
 trap 'rm -rf "$clitmp"' EXIT
-go build -o "$clitmp" ./cmd/fgpredict ./cmd/fgselect
+go build -o "$clitmp" ./cmd/fgpredict ./cmd/fgselect ./cmd/fgrun
 golden() {
     name=$1 cmd=$2
     shift 2
@@ -100,6 +101,10 @@ golden fgpredict-cross-cluster fgpredict -app defect -size 130MB -base 4,4 \
     -target 8,16 -target-size 1.8GB -target-cluster opteron-infiniband
 golden fgselect fgselect -app kmeans -size 1.4GB
 golden fgselect-deadline fgselect -app kmeans -size 1.4GB -deadline 2h
+# The simulated fault trace through its only program: the seed-7 plan's
+# two flaky-link retries and two crash failovers, event by event.
+golden fgrun-sim-fault-trace fgrun -app kmeans -size 8MB -data 2 -compute 4 \
+    -fault-seed 7 -trace
 "$clitmp/fgpredict" -app defect -size 130MB -base 4,4 \
     -target-cluster pentium-myrinet -save "$clitmp/s.json" >/dev/null
 "$clitmp/fgpredict" -app defect -load "$clitmp/s.json" -target 8,16 \
