@@ -1,30 +1,45 @@
+//go:build go1.23
+
 // Package simgrid is a deterministic, process-oriented discrete-event
 // simulator. It stands in for the physical clusters of the paper's testbed:
 // the FREERIDE-G middleware is executed against simulated disks, network
 // links, and CPUs, all sharing one virtual clock.
 //
-// Processes are ordinary functions run on goroutines, but exactly one
-// process executes at any instant: a process runs until it blocks on the
-// virtual clock (Wait), a Resource, or a Mailbox, at which point control
-// returns to the engine, which advances the clock to the next event.
+// Processes are ordinary functions run as coroutines (iter.Pull), and
+// exactly one process executes at any instant: a process runs until it
+// blocks on the virtual clock (Wait), a Resource, or a Mailbox, at which
+// point it switches straight back to the engine, which advances the clock
+// to the next event and switches into that event's process. One
+// coroutine switch, with no trip through the Go scheduler, sits between
+// two events. A Wait whose wake-up is strictly earlier than every event
+// on the calendar would be the very next event, so it advances the clock
+// in place and does not switch at all; a wake-up that ties with a
+// scheduled event parks, so the event scheduled first still runs first.
 // Ties are broken by event sequence number, so simulations are fully
 // deterministic and repeatable.
 //
 // Each process carries its own state (why it last parked, whether it has
 // finished, a resource unit handed to it while it waited), and the engine
 // keeps its processes in one list in spawn order: a deadlock report walks
-// that list, and after a failure the engine unwinds every unfinished
-// process along it, so a failed run leaves no goroutine behind.
+// that list, and after a failure the engine stops every unfinished
+// process along it — a parked one unwinds through its deferred calls, one
+// that never started never runs its body — so a failed run leaves no
+// coroutine behind.
 //
 // An Engine confines all of its mutable state (clock, calendar, process
 // list) to itself and runs exactly one process at a time, so independent
 // Engines may run concurrently on separate goroutines without any
 // synchronization between them — the property the bench package's
 // parallel sweep runner relies on.
+//
+// This file carries a go1.23 build constraint because iter.Pull needs that
+// language version while go.mod still says go 1.22; the constraint goes
+// when go.mod is raised.
 package simgrid
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"time"
 )
@@ -35,7 +50,6 @@ type Engine struct {
 	events  eventHeap
 	seq     uint64
 	procs   []*Proc // every spawned process, in spawn order
-	yield   chan struct{}
 	failure error
 }
 
@@ -127,7 +141,7 @@ func (r blockReason) String() string {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now reports the current virtual time.
@@ -138,10 +152,12 @@ func (e *Engine) Now() time.Duration { return e.now }
 type Proc struct {
 	e       *Engine
 	name    string
-	resume  chan struct{}
+	next    func() (struct{}, bool) // switch into the process until it parks or ends
+	stop    func()                  // unwind a parked process, or retire an unstarted one
+	yield   func(struct{}) bool     // switch back to the engine; false once stopped
 	err     error
 	parked  blockReason // why the process last parked
-	done    bool        // the body has returned, failed or been skipped
+	done    bool        // the body has returned, failed or been stopped
 	granted bool        // a Release handed this process a unit while it waited
 }
 
@@ -156,10 +172,10 @@ func (p *Proc) Now() time.Duration { return p.e.now }
 // running). A body may itself spawn further processes. If the run fails
 // before the process is first scheduled, its body never runs.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume // wait for first scheduling
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, aborted := r.(abortSignal); !aborted {
@@ -167,12 +183,9 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 				}
 			}
 			p.done = true
-			e.yield <- struct{}{}
 		}()
-		if e.failure == nil {
-			body(p)
-		}
-	}()
+		body(p)
+	})
 	e.schedule(e.now, p)
 	return p
 }
@@ -182,13 +195,11 @@ func (e *Engine) schedule(at time.Duration, p *Proc) {
 	e.events.push(event{at: at, seq: e.seq, proc: p})
 }
 
-// park blocks the calling process until the engine resumes it. reason is
-// recorded for deadlock diagnostics.
+// park switches from the calling process back to the engine until the
+// engine resumes it. reason is recorded for deadlock diagnostics.
 func (p *Proc) park(reason blockReason) {
 	p.parked = reason
-	p.e.yield <- struct{}{}
-	<-p.resume
-	if p.e.failure != nil {
+	if !p.yield(struct{}{}) || p.e.failure != nil {
 		// The run has failed or deadlocked; unwind this process too.
 		panic(abortSignal{})
 	}
@@ -197,14 +208,25 @@ func (p *Proc) park(reason blockReason) {
 type abortSignal struct{}
 
 // Wait advances the process by d of virtual time. Negative durations are
-// treated as zero. Wait performs no heap allocations on the steady-state
-// path (the event calendar and the block-reason record are both inline
-// values), which keeps the per-event cost of large simulations flat.
+// treated as zero. If the wake-up is strictly earlier than every event on
+// the calendar, it would be the next event anyway, so Wait takes its
+// sequence number and moves the clock without leaving the process; a
+// wake-up that ties with a scheduled event parks behind it. Wait performs
+// no heap allocations on either path (the event calendar and the
+// block-reason record are both inline values), which keeps the per-event
+// cost of large simulations flat.
 func (p *Proc) Wait(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.e.schedule(p.e.now+d, p)
+	e := p.e
+	at := e.now + d
+	if e.failure == nil && (len(e.events) == 0 || at < e.events[0].at) {
+		e.seq++
+		e.now = at
+		return
+	}
+	e.schedule(at, p)
 	p.park(blockReason{op: opWaiting, dur: d})
 }
 
@@ -218,7 +240,7 @@ func (p *Proc) Fail(err error) {
 // Run executes the simulation until no events remain. It returns an error
 // if a process failed or panicked, or if all remaining processes are
 // blocked with no pending event (deadlock). Either way every unfinished
-// process is unwound before Run returns.
+// process is stopped before Run returns.
 func (e *Engine) Run() error {
 	for e.failure == nil && len(e.events) > 0 {
 		ev := e.events.pop()
@@ -228,8 +250,7 @@ func (e *Engine) Run() error {
 		}
 		e.now = ev.at
 		p := ev.proc
-		p.resume <- struct{}{}
-		<-e.yield
+		p.next()
 		e.failure = p.err // set only once the process has finished
 	}
 	if e.failure == nil {
@@ -241,14 +262,16 @@ func (e *Engine) Run() error {
 	return e.failure
 }
 
-// drain wakes every unfinished process in spawn order once the run has
-// failed, so its goroutine terminates: a parked process panics out of
-// park, and one that has not started skips its body.
+// drain stops every unfinished process in spawn order once the run has
+// failed, so its coroutine ends: a parked one panics out of park and
+// unwinds through its deferred calls (a deferred call that parks again
+// panics out at once), and one that never started never runs its body.
+// A deferred call may spawn a process, so the list is re-read each step.
 func (e *Engine) drain() {
-	for _, p := range e.procs {
-		for !p.done { // a deferred call in the body may park again
-			p.resume <- struct{}{}
-			<-e.yield
+	for i := 0; i < len(e.procs); i++ {
+		if p := e.procs[i]; !p.done {
+			p.stop()
+			p.done = true
 		}
 	}
 }

@@ -70,6 +70,63 @@ func TestProcessesInterleaveDeterministically(t *testing.T) {
 	}
 }
 
+// TestWaitTieKeepsScheduleOrder pins the inline-Wait rule: a Wait moves
+// the clock in place only when its wake-up is strictly earlier than every
+// scheduled event. A wake-up that lands exactly on a scheduled event's
+// time parks behind it, because that event was scheduled first.
+func TestWaitTieKeepsScheduleOrder(t *testing.T) {
+	run := func(t *testing.T, spawn func(e *Engine, mark func(*Proc))) string {
+		t.Helper()
+		e := NewEngine()
+		var order []string
+		spawn(e, func(p *Proc) { order = append(order, fmt.Sprintf("%s@%v", p.Name(), p.Now())) })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(order, " ")
+	}
+	t.Run("scheduled-event-first", func(t *testing.T) {
+		// early's wake-up at 5s is on the calendar when late, running at
+		// 0, waits exactly up to 5s.
+		got := run(t, func(e *Engine, mark func(*Proc)) {
+			e.Spawn("early", func(p *Proc) { p.Wait(5 * time.Second); mark(p) })
+			e.Spawn("late", func(p *Proc) { p.Wait(5 * time.Second); mark(p) })
+		})
+		if want := "early@5s late@5s"; got != want {
+			t.Fatalf("order = %q, want %q", got, want)
+		}
+	})
+	t.Run("zero-wait-after-wakeup", func(t *testing.T) {
+		// Put schedules the receiver at the current time, so the sender's
+		// Wait(0) ties with it and must yield to it.
+		got := run(t, func(e *Engine, mark func(*Proc)) {
+			box := e.NewMailbox("box")
+			e.Spawn("receiver", func(p *Proc) { p.Get(box); mark(p) })
+			e.Spawn("sender", func(p *Proc) { box.Put(1); p.Wait(0); mark(p) })
+		})
+		if want := "receiver@0s sender@0s"; got != want {
+			t.Fatalf("order = %q, want %q", got, want)
+		}
+	})
+	t.Run("fifo", func(t *testing.T) {
+		// Equal-time wake-ups fire in the order the processes waited,
+		// the last waiter included.
+		got := run(t, func(e *Engine, mark func(*Proc)) {
+			for i := 0; i < 4; i++ {
+				e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+					p.Wait(time.Second)
+					mark(p)
+					p.Wait(time.Second)
+					mark(p)
+				})
+			}
+		})
+		if want := "p0@1s p1@1s p2@1s p3@1s p0@2s p1@2s p2@2s p3@2s"; got != want {
+			t.Fatalf("order = %q, want %q", got, want)
+		}
+	})
+}
+
 func TestRunIsRepeatable(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()
@@ -168,13 +225,21 @@ func TestDeadlockNamesEveryParkedProcess(t *testing.T) {
 		p.Acquire(disk) // never released
 		p.Wait(time.Second)
 	})
-	e.Spawn("receiver", func(p *Proc) { p.Get(box) })
+	e.Spawn("receiver", func(p *Proc) {
+		// The calendar is empty while the run unwinds, so this Wait would
+		// be the next event; it must still not move a failed run's clock.
+		defer p.Wait(time.Hour)
+		p.Get(box)
+	})
 	e.Spawn("arriver", func(p *Proc) { p.Arrive(sync) })
 	e.Spawn("acquirer", func(p *Proc) { p.Acquire(disk) })
 	err := e.Run()
 	want := "simgrid: deadlock at 1s; blocked: [acquirer (acquire disk) arriver (barrier sync) receiver (recv box)]"
 	if err == nil || err.Error() != want {
 		t.Fatalf("Run() = %v\nwant %s", err, want)
+	}
+	if e.Now() != time.Second {
+		t.Errorf("clock after unwinding = %v, want the deadlock time 1s", e.Now())
 	}
 	waitGoroutines(t, before)
 }
@@ -183,17 +248,35 @@ func TestDeadlockNamesEveryParkedProcess(t *testing.T) {
 // each kind of blocking call and another, spawned just before the failure,
 // has not started yet. Run must unwind both: the parked one through its
 // deferred calls, the unstarted one without running its body, and neither
-// may leave its goroutine behind.
+// may leave its goroutine behind. Two rows vary the parked process: one
+// whose deferred call spawns a process and parks again while it unwinds,
+// and one that panics after it has parked once, which fails the run
+// before the failer does.
 func TestFailUnwindsEveryProcess(t *testing.T) {
 	boom := errors.New("boom")
 	rows := []struct {
 		kind  string
 		block func(p *Proc, disk *Resource, box *Mailbox, sync *Barrier)
+		want  string // the run's error, if not boom
 	}{
-		{"wait", func(p *Proc, _ *Resource, _ *Mailbox, _ *Barrier) { p.Wait(time.Hour) }},
-		{"acquire", func(p *Proc, disk *Resource, _ *Mailbox, _ *Barrier) { p.Acquire(disk) }},
-		{"recv", func(p *Proc, _ *Resource, box *Mailbox, _ *Barrier) { p.Get(box) }},
-		{"barrier", func(p *Proc, _ *Resource, _ *Mailbox, sync *Barrier) { p.Arrive(sync) }},
+		{"wait", func(p *Proc, _ *Resource, _ *Mailbox, _ *Barrier) { p.Wait(time.Hour) }, ""},
+		{"acquire", func(p *Proc, disk *Resource, _ *Mailbox, _ *Barrier) { p.Acquire(disk) }, ""},
+		{"recv", func(p *Proc, _ *Resource, box *Mailbox, _ *Barrier) { p.Get(box) }, ""},
+		{"barrier", func(p *Proc, _ *Resource, _ *Mailbox, sync *Barrier) { p.Arrive(sync) }, ""},
+		{"defer-parks-again", func(p *Proc, _ *Resource, box *Mailbox, _ *Barrier) {
+			defer func() {
+				// A process spawned while the run unwinds is stopped too.
+				p.e.Spawn("unwinding", func(*Proc) { t.Error("a process spawned while unwinding ran") })
+				p.Get(box)
+				t.Error("a deferred call ran on past a park while its process unwound")
+			}()
+			p.Get(box)
+		}, ""},
+		{"panic-after-park", func(p *Proc, _ *Resource, box *Mailbox, _ *Barrier) {
+			p.e.Spawn("poke", func(*Proc) { box.Put(nil) })
+			p.Get(box)
+			panic("kaboom")
+		}, `simgrid: process "parked" panicked: kaboom`},
 	}
 	for _, row := range rows {
 		t.Run(row.kind, func(t *testing.T) {
@@ -216,8 +299,12 @@ func TestFailUnwindsEveryProcess(t *testing.T) {
 				defer func() { unwound = true }()
 				row.block(p, disk, box, sync)
 			})
-			if err := e.Run(); !errors.Is(err, boom) {
+			err := e.Run()
+			if row.want == "" && !errors.Is(err, boom) {
 				t.Fatalf("Run() = %v, want %v", err, boom)
+			}
+			if row.want != "" && (err == nil || err.Error() != row.want) {
+				t.Fatalf("Run() = %v, want %s", err, row.want)
 			}
 			if !unwound {
 				t.Error("the parked process was not unwound")

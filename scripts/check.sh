@@ -44,8 +44,10 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # Allocation gates (race-free on purpose: the race detector makes
 # sync.Pool drop items at random, so the pooled paths only meet their
 # budgets under a plain build): the warm rank path and the pooled JSON
-# encoder must hold their testing.AllocsPerRun budgets.
-go test -run='Allocs' ./internal/grid/ ./internal/fgservice/
+# encoder must hold their testing.AllocsPerRun budgets, a parked
+# Wait/resume must allocate nothing, and a Spawn must stay within its
+# budget.
+go test -run='Allocs' ./internal/grid/ ./internal/fgservice/ ./internal/simgrid/
 
 # Metrics scrape-vs-observe regression, explicitly under the race
 # detector: a scrape stalled on a slow writer must never block
