@@ -142,7 +142,15 @@ func Partition(spec DatasetSpec, nodes int, policy DeclusterPolicy) (*Layout, er
 	default:
 		return nil, fmt.Errorf("adr: unknown decluster policy %v", policy)
 	}
+	// Count first so each node's list is made once at its exact length.
+	counts := make([]int, nodes)
+	for _, c := range l.chunks {
+		counts[c.Home]++
+	}
 	l.byNode = make([][]Chunk, nodes)
+	for n, k := range counts {
+		l.byNode[n] = make([]Chunk, 0, k)
+	}
 	for _, c := range l.chunks {
 		l.byNode[c.Home] = append(l.byNode[c.Home], c)
 	}

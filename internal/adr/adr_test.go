@@ -228,3 +228,45 @@ func TestRegistryUnknownDatasetEmpty(t *testing.T) {
 		t.Errorf("unknown dataset returned %d replicas", len(got))
 	}
 }
+
+// defectSpec is the molecular-defect dataset of Figures 4 and 7 (1.8 GB
+// of 24-byte lattice records) cut into 256 KB chunks: 7373 chunks.
+func defectSpec() DatasetSpec {
+	return DatasetSpec{
+		Name:       "defect",
+		TotalBytes: 1843 * units.MB,
+		ElemBytes:  24,
+		ChunkBytes: 256 * units.KB,
+		Kind:       "lattice",
+		Dims:       3,
+		Seed:       41,
+	}
+}
+
+// TestPartitionAllocs pins Partition's allocations to one per slice it
+// returns or counts with: the Layout, its chunk list, the per-node
+// counts, the per-node index and each node's chunk list, made once at
+// its exact length. A list grown by append would add allocations that
+// scale with the chunk count.
+func TestPartitionAllocs(t *testing.T) {
+	const nodes = 4
+	spec := defectSpec()
+	l, err := Partition(spec, nodes, RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < nodes; n++ {
+		if cs := l.NodeChunks(n); cap(cs) != len(cs) {
+			t.Errorf("node %d: %d chunks in a list of capacity %d", n, len(cs), cap(cs))
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Partition(spec, nodes, RoundRobin); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(4 + nodes); allocs != want {
+		t.Errorf("Partition of %d chunks over %d nodes: %v allocations, want %v",
+			len(l.Chunks()), nodes, allocs, want)
+	}
+}

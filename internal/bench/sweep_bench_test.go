@@ -3,6 +3,8 @@ package bench
 import (
 	"runtime"
 	"testing"
+
+	"freerideg/internal/metrics"
 )
 
 // benchHarness builds a fresh harness (empty memo cache) per iteration
@@ -31,15 +33,20 @@ func BenchmarkHarnessRunFig5(b *testing.B) {
 }
 
 // BenchmarkRunAllSerial is the sweep baseline: every figure of the
-// paper's evaluation, strictly one simulation at a time.
+// paper's evaluation, strictly one simulation at a time. It also reports
+// the simulator's process switches per sweep, the host-independent part
+// of its cost (TestRunAllSwitchCount pins the exact figure).
 func BenchmarkRunAllSerial(b *testing.B) {
 	b.ReportAllocs()
+	switches := metrics.GetCounter("fg_sim_switches_total", "")
+	before := switches.Value()
 	for i := 0; i < b.N; i++ {
 		h := benchHarness(b, 1)
 		if _, err := h.RunAll(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric((switches.Value()-before)/float64(b.N), "switches/op")
 }
 
 // BenchmarkRunAllParallel is the same sweep through the parallel engine

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"freerideg/internal/core"
+	"freerideg/internal/metrics"
 	"freerideg/internal/middleware"
 	"freerideg/internal/units"
 )
@@ -195,5 +196,29 @@ func TestSimulateMemoizesAcrossSinkModes(t *testing.T) {
 	}
 	if cached != traced {
 		t.Errorf("cached result %+v differs from traced run %+v", cached, traced)
+	}
+}
+
+// TestRunAllSwitchCount pins the simulator's scheduling work for a cold
+// serial sweep: the number of switches into simulated processes, summed
+// over every simulation RunAll starts. The count is exact and does not
+// depend on the host, so it moves only when the middleware asks the
+// engine for more or fewer events: a worker that waits out each cached
+// chunk on its own reads 1,871,607, and a data server that waits out a
+// read and a send separately reads 1,250,347.
+func TestRunAllSwitchCount(t *testing.T) {
+	h, err := NewHarness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetParallelism(1)
+	switches := metrics.GetCounter("fg_sim_switches_total", "")
+	before := switches.Value()
+	if _, err := h.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	const want = 1033236.0
+	if got := switches.Value() - before; got != want {
+		t.Errorf("cold serial RunAll made %.0f process switches, want %.0f", got, want)
 	}
 }

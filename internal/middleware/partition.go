@@ -43,7 +43,18 @@ func chunkTargets(layout *adr.Layout, n, c int) [][]int {
 // order.
 func chunksByCompute(layout *adr.Layout, n, c int) [][]adr.Chunk {
 	targets := chunkTargets(layout, n, c)
+	// Count first so each compute node's list is made once at its exact
+	// length.
+	counts := make([]int, c)
+	for _, ts := range targets {
+		for _, j := range ts {
+			counts[j]++
+		}
+	}
 	out := make([][]adr.Chunk, c)
+	for j, k := range counts {
+		out[j] = make([]adr.Chunk, 0, k)
+	}
 	for dn := 0; dn < n; dn++ {
 		for i, ch := range layout.NodeChunks(dn) {
 			j := targets[dn][i]

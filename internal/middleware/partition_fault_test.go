@@ -6,6 +6,7 @@ import (
 
 	"freerideg/internal/adr"
 	"freerideg/internal/simgrid"
+	"freerideg/internal/units"
 )
 
 // equalLists compares per-node chunk lists element-wise, treating nil
@@ -250,5 +251,38 @@ func TestNewFaultStateCrashLists(t *testing.T) {
 		if got := indexes(free.workFor(p, 2)); !reflect.DeepEqual(got, []int{2, 5}) {
 			t.Errorf("fault-free pass %d work of node 2 = %v, want its base list", p, got)
 		}
+	}
+}
+
+// TestChunksByComputeAllocs pins chunksByCompute's allocations beyond
+// serveClients' short client lists to one per slice: chunkTargets' index
+// and target lists, the per-compute-node counts, and the result's index
+// and chunk lists, each made once at its exact length. A list grown by
+// append would add allocations that scale with the chunk count.
+func TestChunksByComputeAllocs(t *testing.T) {
+	const n, c = 4, 16
+	spec := adr.DatasetSpec{
+		Name:       "defect",
+		TotalBytes: 1843 * units.MB,
+		ElemBytes:  24,
+		ChunkBytes: 256 * units.KB,
+		Kind:       "lattice",
+		Dims:       3,
+		Seed:       41,
+	}
+	layout, err := adr.Partition(spec, n, adr.RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, cs := range chunksByCompute(layout, n, c) {
+		if cap(cs) != len(cs) {
+			t.Errorf("compute node %d: %d chunks in a list of capacity %d", j, len(cs), cap(cs))
+		}
+	}
+	clients := testing.AllocsPerRun(20, func() { serveClients(n, c) })
+	allocs := testing.AllocsPerRun(20, func() { chunksByCompute(layout, n, c) })
+	if want := clients + float64((1+n)+1+(1+c)); allocs != want {
+		t.Errorf("chunksByCompute of %d chunks, %d-%d: %v allocations, want %v",
+			len(layout.Chunks()), n, c, allocs, want)
 	}
 }

@@ -7,10 +7,17 @@ import (
 
 	"freerideg/internal/adr"
 	"freerideg/internal/core"
+	"freerideg/internal/metrics"
 	"freerideg/internal/reduction"
 	"freerideg/internal/simgrid"
 	"freerideg/internal/units"
 )
+
+// simSwitches counts the simulator's switches into processes over every
+// simulated run: the engine's scheduling work, a host-independent measure
+// of what a run costs.
+var simSwitches = metrics.GetCounter("fg_sim_switches_total",
+	"Coroutine switches into simulated processes across every simulated run.")
 
 // Grid is a set of simulated clusters that runs the FREERIDE-G protocol.
 //
@@ -203,7 +210,9 @@ func (g *Grid) simulateOpts(cost reduction.CostModel, spec adr.DatasetSpec, cfg 
 		}
 	})
 	ex.spawnWorkers()
-	if err := ex.eng.Run(); err != nil {
+	err = ex.eng.Run()
+	simSwitches.Add(float64(ex.eng.Switches()))
+	if err != nil {
 		return SimResult{}, nil, fmt.Errorf("middleware: simulation of %s on %v: %w", cost.Name, cfg, err)
 	}
 
@@ -267,11 +276,13 @@ type simExecutor struct {
 
 	// Per-node busy-time accounting, written by worker processes and read
 	// by the master between passes (simgrid runs exactly one process at a
-	// time, and the pass barrier orders the accesses).
+	// time, and the pass barrier orders the accesses). readPass is the
+	// latest pass whose LocalReduction has read the running totals.
 	diskBusy   []time.Duration
 	netBusy    []time.Duration
 	compTime   []time.Duration
 	cachedTime []time.Duration
+	readPass   int
 
 	// gatherStage/broadcastStage are the pluggable ablation stages:
 	// serialized master gather/broadcast (the paper's protocol) or the
@@ -460,20 +471,45 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 			// Cached passes: retrieval from the caching tier (free for
 			// in-memory caching), then local processing. Chunks this node
 			// inherited through failover are not in its cache and must be
-			// re-fetched from the repository.
+			// re-fetched from the repository. The node's own cache reads
+			// and processing add up in pending and are taken as one Wait,
+			// right before the next thing another process sees: a
+			// re-fetch (a shared data server) or the end of the chunk
+			// phase.
+			var pending time.Duration
+			flush := func() {
+				if pending > 0 {
+					p.Wait(pending)
+					pending = 0
+				}
+			}
+			// The master reads the running busy totals this pass is
+			// measured from when its LocalReduction starts, and a
+			// serialized broadcast releases nodes 1..c-2 into the pass
+			// before that. Until the reading is taken, each wait is taken
+			// on its own and booked when it ends, so the reading counts
+			// exactly the work done by then.
+			unread := func() {
+				if ex.readPass < pass {
+					flush()
+				}
+			}
 			for _, ch := range work {
 				var fetch time.Duration
 				if ex.sched != nil && !ex.cachedSet[j][ch.Index] {
+					flush()
 					fetch = ex.fetchChunk(p, j, dn, pass, ch, crashing)
-				} else if f := cachedFetch(ch); f > 0 {
-					p.Wait(f)
-					fetch = f
+				} else {
+					fetch = cachedFetch(ch)
+					pending += fetch
+					unread()
 					if !crashing {
-						ex.cachedTime[j] += f
+						ex.cachedTime[j] += fetch
 					}
 				}
 				proc := procTime(ch)
-				p.Wait(proc)
+				pending += proc
+				unread()
 				if crashing {
 					wastedDur += fetch + proc
 				} else {
@@ -481,6 +517,7 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 					ex.markDone(pass, j, ch)
 				}
 			}
+			flush()
 			if crashing {
 				ex.emitEv(p, pass, PhaseFault, j, 0, "crash")
 			}
@@ -554,8 +591,7 @@ func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, dn, pass int, ch adr.Chunk
 			ex.serveOrd[dn]++
 		}
 		p.Acquire(ex.servers[dn])
-		p.Wait(read)
-		p.Wait(send)
+		p.Wait(read + send)
 		p.Release(ex.servers[dn])
 		if linkDown {
 			if attempt > maxRetries {
@@ -616,6 +652,7 @@ func (ex *simExecutor) Now() time.Duration { return ex.eng.Now() }
 // and reports the per-phase busy-time deltas, each the maximum over
 // nodes per the paper's accounting.
 func (ex *simExecutor) LocalReduction(pass int) (PassStats, error) {
+	ex.readPass = pass
 	disk0 := snapshot(ex.diskBusy)
 	net0 := snapshot(ex.netBusy)
 	comp0 := snapshot(ex.compTime)

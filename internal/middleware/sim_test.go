@@ -273,3 +273,81 @@ func TestSimulationRunsFast(t *testing.T) {
 		t.Errorf("one paper-scale simulation took %v", el)
 	}
 }
+
+// TestIdleNodeTakesNoCachedWait pins the engine's switch count for a run
+// with more compute nodes than chunks: kmeans over two 8 MB chunks at
+// 1-1 to 1-4, where nodes 2 and 3 hold nothing. A node with nothing
+// pending must take no Wait in a cached pass — not even Wait(0), which
+// would tie with node 0 (released by the same broadcast instant as node
+// c-1) and park behind it, one extra switch per cached pass.
+func TestIdleNodeTakesNoCachedWait(t *testing.T) {
+	total := 16 * units.MB
+	spec := pointsSpec(total)
+	a, _ := apps.Get("kmeans")
+	cost, err := a.Cost(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, want := range map[int]uint64{1: 22, 2: 86, 3: 148, 4: 210} {
+		_, ex, err := testGrid(t).simulateOpts(cost, spec, config(1, c, total), SimOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ex.eng.Switches(); got != want {
+			t.Errorf("1-%d: %d process switches, want %d", c, got, want)
+		}
+	}
+}
+
+// TestEarlyReleasedNodeBooksEachChunk pins the per-pass local-reduce and
+// cached-fetch times of fault-free runs whose largest load sits on a
+// middle compute node (n does not divide c). A serialized broadcast
+// releases such a node into the next pass before the master reads the
+// running busy totals the pass is measured from, so until that reading
+// each of the node's waits must be taken and booked on its own. The
+// values were captured with one Wait per cache read and per chunk; a
+// node that booked its merged pass up front would report the smaller
+// load of node 0 or c-1 here.
+func TestEarlyReleasedNodeBooksEachChunk(t *testing.T) {
+	total := 16 * units.MB
+	a, _ := apps.Get("kmeans")
+	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
+	for _, tc := range []struct {
+		chunk                   units.Bytes
+		cache                   CacheMode
+		n, c                    int
+		compute0, compute, read time.Duration // pass 0, then every later pass
+	}{
+		{64 * units.KB, CacheMemory, 2, 3, ms(854.494976), ms(847.819234), 0},
+		{64 * units.KB, CacheLocalDisk, 2, 3, ms(854.494976), ms(854.494976), ms(960.4375)},
+		{64 * units.KB, CacheLocalDisk, 2, 7, ms(287.056906), ms(280.381164), ms(310.0625)},
+		{units.MB, CacheLocalDisk, 2, 3, ms(614.49492), ms(614.49492), ms(248)},
+	} {
+		spec := pointsSpec(total)
+		spec.ChunkBytes = tc.chunk
+		cost, err := a.Cost(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := NewCollector()
+		if _, err := testGrid(t).SimulateOpts(cost, spec, config(tc.n, tc.c, total),
+			SimOptions{Cache: tc.cache, Trace: col}); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range col.Events() {
+			want := time.Duration(-1)
+			switch {
+			case ev.Phase == PhaseLocalReduce && ev.Pass == 0:
+				want = tc.compute0
+			case ev.Phase == PhaseLocalReduce:
+				want = tc.compute
+			case ev.Phase == PhaseCachedFetch:
+				want = tc.read
+			}
+			if want >= 0 && ev.Dur != want {
+				t.Errorf("%v chunks, %v cache, %d-%d: pass %d %v took %v, want %v",
+					tc.chunk, tc.cache, tc.n, tc.c, ev.Pass, ev.Phase, ev.Dur, want)
+			}
+		}
+	}
+}

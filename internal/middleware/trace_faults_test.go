@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"freerideg/internal/adr"
 	"freerideg/internal/apps"
 	"freerideg/internal/simgrid"
 	"freerideg/internal/units"
@@ -131,5 +132,57 @@ func TestTraceFaultsDeterministic(t *testing.T) {
 	}
 	if resA.Makespan != resB.Makespan || resA.Recovery != resB.Recovery || resA.Retries != resB.Retries {
 		t.Errorf("results diverge: %+v vs %+v", resA, resB)
+	}
+}
+
+// TestTraceFailoverRefetchGolden pins a multi-pass crash plan in which
+// survivors sharing a storage node re-fetch inherited chunks in cached
+// passes: fgrun's seed-7 plan on kmeans 8MB at 2-4 (node 0 crashes in
+// pass 1, node 1 in pass 3; nodes 1 and 3, then 2 and 3, contend for one
+// data server). The order and timing of those contended re-fetches
+// depend on every cached-pass wait a survivor takes before them, so a
+// worker that fetches before its clock has caught up shifts this trace.
+// Regenerate with -update after intentional changes.
+func TestTraceFailoverRefetchGolden(t *testing.T) {
+	total := 8 * units.MB
+	spec := adr.DatasetSpec{
+		Name:       "kmeans-8MB",
+		TotalBytes: total,
+		ElemBytes:  128,
+		ChunkBytes: 128 * units.KB,
+		Kind:       "points",
+		Dims:       16,
+		Seed:       41,
+	}
+	a, _ := apps.Get("kmeans")
+	cost, err := a.Cost(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := simgrid.GenerateFaultPlan(7, 2, 4, cost.Iterations)
+	var buf bytes.Buffer
+	res, err := testGrid(t).SimulateOpts(cost, spec, config(2, 4, total), SimOptions{
+		Faults: &plan,
+		Trace:  NewTextSink(&buf),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Retries != 2 {
+		t.Errorf("%d retried deliveries, want the plan's 2", res.Retries)
+	}
+	golden := filepath.Join("testdata", "trace_kmeans_failover_refetch.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("failover re-fetch trace deviates from golden file (run with -update to regenerate)\ngot:\n%s\nwant:\n%s",
+			got, want)
 	}
 }

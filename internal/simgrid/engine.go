@@ -51,6 +51,8 @@ type Engine struct {
 	seq     uint64
 	procs   []*Proc // every spawned process, in spawn order
 	failure error
+
+	switches uint64 // coroutine switches into processes made by Run
 }
 
 // event is one calendar entry. Events live inline in the heap slice —
@@ -146,6 +148,12 @@ func NewEngine() *Engine {
 
 // Now reports the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
+
+// Switches reports how many times Run has switched into a process: one
+// per event taken off the calendar. A Wait that moves the clock in place
+// is not counted, so the count is the run's scheduling work, independent
+// of the host it runs on.
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // Proc is a simulated process. All blocking methods must be called from
 // the process's own body function.
@@ -250,6 +258,7 @@ func (e *Engine) Run() error {
 		}
 		e.now = ev.at
 		p := ev.proc
+		e.switches++
 		p.next()
 		e.failure = p.err // set only once the process has finished
 	}

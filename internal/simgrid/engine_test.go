@@ -127,6 +127,39 @@ func TestWaitTieKeepsScheduleOrder(t *testing.T) {
 	})
 }
 
+// Switches counts one switch per start and per parked Wait; a Wait that
+// moves the clock in place is not a switch.
+func TestSwitchesCountsParkedWaitsOnly(t *testing.T) {
+	const waits = 10
+	lone := NewEngine()
+	lone.Spawn("lone", func(p *Proc) {
+		for i := 0; i < waits; i++ {
+			p.Wait(time.Second)
+		}
+	})
+	if err := lone.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lone.Switches(); got != 1 {
+		t.Errorf("lone process: %d switches, want 1 (its start; every Wait is in place)", got)
+	}
+
+	pair := NewEngine()
+	for _, name := range []string{"ping", "pong"} {
+		pair.Spawn(name, func(p *Proc) {
+			for i := 0; i < waits; i++ {
+				p.Wait(time.Second)
+			}
+		})
+	}
+	if err := pair.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pair.Switches(), uint64(2+2*waits); got != want {
+		t.Errorf("two processes in lockstep: %d switches, want %d (two starts, every Wait parked)", got, want)
+	}
+}
+
 func TestRunIsRepeatable(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()

@@ -45,9 +45,10 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # sync.Pool drop items at random, so the pooled paths only meet their
 # budgets under a plain build): the warm rank path and the pooled JSON
 # encoder must hold their testing.AllocsPerRun budgets, a parked
-# Wait/resume must allocate nothing, and a Spawn must stay within its
-# budget.
-go test -run='Allocs' ./internal/grid/ ./internal/fgservice/ ./internal/simgrid/
+# Wait/resume must allocate nothing, a Spawn must stay within its
+# budget, and the storage-node and compute-node chunk lists must be made
+# once each at their exact length.
+go test -run='Allocs' ./internal/grid/ ./internal/fgservice/ ./internal/simgrid/ ./internal/adr/ ./internal/middleware/
 
 # Metrics scrape-vs-observe regression, explicitly under the race
 # detector: a scrape stalled on a slow writer must never block
