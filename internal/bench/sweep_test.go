@@ -205,7 +205,7 @@ func TestSimulateMemoizesAcrossSinkModes(t *testing.T) {
 // depend on the host, so it moves only when the middleware asks the
 // engine for more or fewer events: a worker that waits out each cached
 // chunk on its own reads 1,871,607, and a data server that waits out a
-// read and a send separately reads 1,250,347.
+// read and a send separately reads 1,243,026.
 func TestRunAllSwitchCount(t *testing.T) {
 	h, err := NewHarness()
 	if err != nil {
@@ -217,7 +217,7 @@ func TestRunAllSwitchCount(t *testing.T) {
 	if _, err := h.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	const want = 1033236.0
+	const want = 1025915.0
 	if got := switches.Value() - before; got != want {
 		t.Errorf("cold serial RunAll made %.0f process switches, want %.0f", got, want)
 	}

@@ -105,7 +105,11 @@ func chunkCount(t *testing.T, spec adr.DatasetSpec, dataNodes int) int {
 // simulated backend terminates, processes every chunk exactly once per
 // pass, and its recovery accounting reconciles: the traced retry and
 // failover durations sum to the reported recovery time, and the traced
-// phase totals still reproduce the profile breakdown exactly.
+// phase totals still reproduce the profile breakdown exactly. Each
+// storage node's booked t_d + t_n over all passes is exactly its data
+// server's busy time on the fault-free run, and at most that under a
+// plan: failed and discarded deliveries hold the server but are not
+// booked.
 func TestSimFaultRecoveryProperties(t *testing.T) {
 	g := testGrid(t)
 	total := 64 * units.MB
@@ -118,13 +122,27 @@ func TestSimFaultRecoveryProperties(t *testing.T) {
 	const dataNodes, computeNodes = 2, 4
 	cfg := config(dataNodes, computeNodes, total)
 
-	base, err := g.Simulate(cost, spec, cfg)
+	// checkBooks compares each storage node's booked busy time with its
+	// data server's.
+	checkBooks := func(name string, ex *simExecutor, exact bool) {
+		for dn, srv := range ex.servers {
+			var booked time.Duration
+			for _, b := range ex.books {
+				booked += b.servers[dn].disk + b.servers[dn].net
+			}
+			if busy := srv.BusyTime(); booked > busy || exact && booked != busy {
+				t.Errorf("%s: storage node %d booked %v, its data server was busy %v", name, dn, booked, busy)
+			}
+		}
+	}
+	base, baseEx, err := g.simulateOpts(cost, spec, cfg, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Recovery != 0 || base.Retries != 0 {
 		t.Fatalf("fault-free run reports recovery %v, %d retries", base.Recovery, base.Retries)
 	}
+	checkBooks("fault-free", baseEx, true)
 
 	for seed := int64(1); seed <= 20; seed++ {
 		plan := simgrid.GenerateFaultPlan(seed, dataNodes, computeNodes, cost.Iterations)
@@ -150,6 +168,51 @@ func TestSimFaultRecoveryProperties(t *testing.T) {
 		if res.Makespan < base.Makespan {
 			t.Errorf("seed %d: faulted makespan %v beats fault-free %v", seed, res.Makespan, base.Makespan)
 		}
+		checkBooks(fmt.Sprintf("seed %d", seed), ex, false)
+	}
+}
+
+// A chunk re-dealt at a crash is re-fetched from the storage node that
+// holds it, not from the survivor's own: with node 1 crashing in pass 1
+// at 2-4, the chunks it held (all stored on storage node 1) are read and
+// sent again by storage node 1 alone, and storage node 0 does exactly its
+// fault-free work.
+func TestFailoverRefetchesFromHomeServer(t *testing.T) {
+	total := 8 * units.MB
+	spec := pointsSpec(total)
+	spec.ChunkBytes = 256 * units.KB
+	a, _ := apps.Get("kmeans")
+	cost, err := a.Cost(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := simgrid.ParseFaultPlan("crash node=1 pass=1 chunk=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config(2, 4, total)
+	_, free, err := testGrid(t).simulateOpts(cost, spec, cfg, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ex, err := testGrid(t).simulateOpts(cost, spec, cfg, SimOptions{Faults: &plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ex.servers[0].BusyTime(), free.servers[0].BusyTime(); got != want {
+		t.Errorf("storage node 0 busy %v, want its fault-free %v", got, want)
+	}
+	var refetch time.Duration
+	for _, ch := range ex.workFor(0, 1) {
+		if ch.Home != 1 {
+			t.Fatalf("node 1's chunk %d lives on storage node %d", ch.Index, ch.Home)
+		}
+		read := time.Duration(float64(ex.cluster.DiskSeek+ex.diskBW.TransferTime(ch.Bytes)) * ex.jitter[ch.Index])
+		refetch += read + ex.cluster.NetLatency + ex.bandwidth.TransferTime(ch.Bytes)
+	}
+	if got, want := ex.servers[1].BusyTime(), free.servers[1].BusyTime()+refetch; got != want {
+		t.Errorf("storage node 1 busy %v, want its fault-free %v plus the re-fetches' %v",
+			got, free.servers[1].BusyTime(), refetch)
 	}
 }
 

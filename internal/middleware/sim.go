@@ -260,11 +260,8 @@ type simExecutor struct {
 	// fault-free runs).
 	faultState
 	sink      Sink
-	serveOrd  []int          // per storage node: live delivery ordinal within the pass
 	cachedSet []map[int]bool // per compute node: chunk indexes in its caching tier
-	recovery  []time.Duration
-	retries   []int
-	processed [][]int // per pass, per chunk index: times locally reduced (test hook)
+	processed [][]int        // per pass, per chunk index: times locally reduced (test hook)
 
 	servers     []*simgrid.Resource
 	ic          *simgrid.Resource
@@ -273,22 +270,34 @@ type simExecutor struct {
 	bcastBox    []*simgrid.Mailbox
 	roundBarr   *simgrid.Barrier
 	passBarrier *simgrid.Barrier
-
-	// Per-node busy-time accounting, written by worker processes and read
-	// by the master between passes (simgrid runs exactly one process at a
-	// time, and the pass barrier orders the accesses). readPass is the
-	// latest pass whose LocalReduction has read the running totals.
-	diskBusy   []time.Duration
-	netBusy    []time.Duration
-	compTime   []time.Duration
-	cachedTime []time.Duration
-	readPass   int
+	books       []passBook // per pass: what the workers did in it, read by LocalReduction
 
 	// gatherStage/broadcastStage are the pluggable ablation stages:
 	// serialized master gather/broadcast (the paper's protocol) or the
 	// combining-tree variant.
 	gatherStage    func() time.Duration
 	broadcastStage func(pass int) time.Duration
+}
+
+// passBook is one pass's accounting, one slot per node. Work is booked
+// into the pass it belongs to, however early a worker enters that pass.
+type passBook struct {
+	servers []serverBook // per storage node
+	nodes   []nodeBook   // per compute node
+}
+
+// serverBook holds a storage node's disk and uplink busy time (t_d, t_n)
+// and its live delivery attempts, the ordinal fault triggers count.
+type serverBook struct {
+	disk, net time.Duration
+	served    int
+}
+
+// nodeBook holds a compute node's processing, cached-fetch and recovery
+// time and its failed deliveries.
+type nodeBook struct {
+	comp, cached, recovery time.Duration
+	retries                int
 }
 
 func newSimExecutor(cluster ClusterSpec, cost reduction.CostModel, cfg core.Config,
@@ -333,9 +342,6 @@ func newSimExecutor(cluster ClusterSpec, cost reduction.CostModel, cfg core.Conf
 	ex.faultState = fs
 	ex.sink = opts.Trace
 	if ex.sched != nil {
-		ex.serveOrd = make([]int, n)
-		ex.recovery = make([]time.Duration, c)
-		ex.retries = make([]int, c)
 		ex.cachedSet = make([]map[int]bool, c)
 		for j := range ex.cachedSet {
 			ex.cachedSet[j] = make(map[int]bool)
@@ -375,10 +381,12 @@ func newSimExecutor(cluster ClusterSpec, cost reduction.CostModel, cfg core.Conf
 	// local reduction before objects are gathered.
 	ex.passBarrier = ex.eng.NewBarrier("pass", c)
 
-	ex.diskBusy = make([]time.Duration, n)
-	ex.netBusy = make([]time.Duration, n)
-	ex.compTime = make([]time.Duration, c)
-	ex.cachedTime = make([]time.Duration, c)
+	// One backing slice per slot type, cut into per-pass views.
+	ex.books = make([]passBook, ex.passes)
+	servers, nodes := make([]serverBook, ex.passes*n), make([]nodeBook, ex.passes*c)
+	for p := range ex.books {
+		ex.books[p] = passBook{servers: servers[p*n : (p+1)*n], nodes: nodes[p*c : (p+1)*c]}
+	}
 
 	if opts.TreeGather && c > 1 {
 		ex.gatherStage = ex.treeGather
@@ -414,7 +422,6 @@ func (ex *simExecutor) spawnWorkers() {
 // reduction object — its chunks run on the survivors per the precomputed
 // failover assignment.
 func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
-	dn := j % ex.n
 	procTime := func(ch adr.Chunk) time.Duration {
 		return units.Seconds(float64(ch.Elems)*ex.cost.OpsPerElem/ex.effRate) + ex.cluster.ChunkOverhead
 	}
@@ -437,6 +444,7 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 		if crashing {
 			work = ex.wasted[j]
 		}
+		book := &ex.books[pass].nodes[j]
 		var wastedDur time.Duration
 		if pass == 0 {
 			// Synchronous chunk rounds: retrieve, transfer, process, then
@@ -445,13 +453,13 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 			for k := 0; k < ex.rounds; k++ {
 				if k < len(work) {
 					ch := work[k]
-					fetch := ex.fetchChunk(p, j, dn, pass, ch, crashing)
+					fetch := ex.fetchChunk(p, j, pass, ch, crashing)
 					proc := procTime(ch)
 					p.Wait(proc)
 					if crashing {
 						wastedDur += fetch + proc
 					} else {
-						ex.compTime[j] += proc
+						book.comp += proc
 						ex.markDone(pass, j, ch)
 					}
 				}
@@ -469,13 +477,12 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 			}
 		} else if !dead {
 			// Cached passes: retrieval from the caching tier (free for
-			// in-memory caching), then local processing. Chunks this node
-			// inherited through failover are not in its cache and must be
-			// re-fetched from the repository. The node's own cache reads
-			// and processing add up in pending and are taken as one Wait,
-			// right before the next thing another process sees: a
-			// re-fetch (a shared data server) or the end of the chunk
-			// phase.
+			// in-memory caching), then local processing; chunks inherited
+			// through failover are re-fetched from their home storage
+			// node. The node's own cache reads and processing are booked
+			// as they come and add up in pending, taken as one Wait right
+			// before the next thing another process sees: a re-fetch (a
+			// shared data server) or the end of the chunk phase.
 			var pending time.Duration
 			flush := func() {
 				if pending > 0 {
@@ -483,37 +490,24 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 					pending = 0
 				}
 			}
-			// The master reads the running busy totals this pass is
-			// measured from when its LocalReduction starts, and a
-			// serialized broadcast releases nodes 1..c-2 into the pass
-			// before that. Until the reading is taken, each wait is taken
-			// on its own and booked when it ends, so the reading counts
-			// exactly the work done by then.
-			unread := func() {
-				if ex.readPass < pass {
-					flush()
-				}
-			}
 			for _, ch := range work {
 				var fetch time.Duration
 				if ex.sched != nil && !ex.cachedSet[j][ch.Index] {
 					flush()
-					fetch = ex.fetchChunk(p, j, dn, pass, ch, crashing)
+					fetch = ex.fetchChunk(p, j, pass, ch, crashing)
 				} else {
 					fetch = cachedFetch(ch)
 					pending += fetch
-					unread()
 					if !crashing {
-						ex.cachedTime[j] += fetch
+						book.cached += fetch
 					}
 				}
 				proc := procTime(ch)
 				pending += proc
-				unread()
 				if crashing {
 					wastedDur += fetch + proc
 				} else {
-					ex.compTime[j] += proc
+					book.comp += proc
 					ex.markDone(pass, j, ch)
 				}
 			}
@@ -528,7 +522,7 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 			// pure recovery overhead.
 			p.Wait(detectTimeout)
 			cost := wastedDur + detectTimeout
-			ex.recovery[j] += cost
+			book.recovery += cost
 			mwFailovers.Inc()
 			ex.emitEv(p, pass, PhaseFailover, j, cost,
 				fmt.Sprintf("node %d down, %d chunks re-dealt to %d survivors",
@@ -557,23 +551,25 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 }
 
 // fetchChunk performs one repository chunk fetch for compute node j from
-// storage node dn, riding out injected disk and link faults. Successful
-// transfers charge the storage node's disk/uplink busy time (the paper's
-// t_d/t_n accounting); failed attempts and their exponential backoff
-// charge the fetching node's recovery time and emit retry events. When
-// wasted is true (the node is in its crash pass) nothing is charged or
-// consumed here — the caller folds the returned elapsed time into the
-// discarded-work total, and fault ordinals keep counting live deliveries
-// only.
-func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, dn, pass int, ch adr.Chunk, wasted bool) time.Duration {
+// the chunk's home storage node (pass 0 and failover re-fetch alike),
+// riding out injected disk and link faults. Successful transfers book
+// that node's disk/uplink busy time (the paper's t_d/t_n accounting);
+// failed attempts and their exponential backoff book the fetching node's
+// recovery time and emit retry events. When wasted is true (the node is
+// in its crash pass) nothing is booked or consumed here — the caller
+// folds the returned elapsed time into the discarded-work total, and
+// fault ordinals keep counting live deliveries only.
+func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, pass int, ch adr.Chunk, wasted bool) time.Duration {
 	t0 := p.Now()
+	dn, book := ch.Home, &ex.books[pass]
+	srv := &book.servers[dn]
 	baseRead := time.Duration(float64(ex.cluster.DiskSeek+ex.diskBW.TransferTime(ch.Bytes)) * ex.jitter[ch.Index])
 	send := ex.cluster.NetLatency + ex.bandwidth.TransferTime(ch.Bytes)
 	for attempt := 1; ; attempt++ {
 		read := baseRead
 		linkDown := false
 		if ex.sched != nil && !wasted {
-			ord := ex.serveOrd[dn]
+			ord := srv.served
 			if f, fresh, hit := ex.diskFeeds.next(dn, pass, ord); hit {
 				read = time.Duration(float64(read) * f.Factor)
 				if fresh {
@@ -588,7 +584,7 @@ func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, dn, pass int, ch adr.Chunk
 						fmt.Sprintf("flaky-link on storage node %d", dn))
 				}
 			}
-			ex.serveOrd[dn]++
+			srv.served++
 		}
 		p.Acquire(ex.servers[dn])
 		p.Wait(read + send)
@@ -601,15 +597,15 @@ func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, dn, pass int, ch adr.Chunk
 			backoff := retryBackoff << (attempt - 1)
 			p.Wait(backoff)
 			cost := read + send + backoff
-			ex.recovery[j] += cost
-			ex.retries[j]++
+			book.nodes[j].recovery += cost
+			book.nodes[j].retries++
 			ex.emitEv(p, pass, PhaseRetry, j, cost,
 				fmt.Sprintf("chunk %d from storage node %d, attempt %d", ch.Index, dn, attempt))
 			continue
 		}
 		if !wasted {
-			ex.diskBusy[dn] += read
-			ex.netBusy[dn] += send
+			srv.disk += read
+			srv.net += send
 		}
 		return p.Now() - t0
 	}
@@ -649,28 +645,21 @@ func (ex *simExecutor) Passes() int { return ex.passes }
 func (ex *simExecutor) Now() time.Duration { return ex.eng.Now() }
 
 // LocalReduction waits for every worker to finish the pass's chunk phase
-// and reports the per-phase busy-time deltas, each the maximum over
-// nodes per the paper's accounting.
+// and reports the pass's book: each busy time the maximum over nodes per
+// the paper's accounting, recovery overhead and retries summed over
+// nodes (total overhead, not a critical path).
 func (ex *simExecutor) LocalReduction(pass int) (PassStats, error) {
-	ex.readPass = pass
-	disk0 := snapshot(ex.diskBusy)
-	net0 := snapshot(ex.netBusy)
-	comp0 := snapshot(ex.compTime)
-	cached0 := snapshot(ex.cachedTime)
-	rec0 := snapshot(ex.recovery)
-	ret0 := append([]int(nil), ex.retries...)
 	ex.p.Get(ex.readyBox) // posted by worker 0 at pass-barrier release
-	st := PassStats{
-		Retrieval:   maxDelta(ex.diskBusy, disk0),
-		Delivery:    maxDelta(ex.netBusy, net0),
-		CachedFetch: maxDelta(ex.cachedTime, cached0),
-		Compute:     maxDelta(ex.compTime, comp0),
+	var st PassStats
+	for _, s := range ex.books[pass].servers {
+		st.Retrieval = max(st.Retrieval, s.disk)
+		st.Delivery = max(st.Delivery, s.net)
 	}
-	// Recovery overhead and retries are summed over nodes (total
-	// overhead, not a critical path).
-	for i := range ex.recovery {
-		st.Recovery += ex.recovery[i] - rec0[i]
-		st.Retries += ex.retries[i] - ret0[i]
+	for _, w := range ex.books[pass].nodes {
+		st.Compute = max(st.Compute, w.comp)
+		st.CachedFetch = max(st.CachedFetch, w.cached)
+		st.Recovery += w.recovery
+		st.Retries += w.retries
 	}
 	return st, nil
 }
@@ -713,14 +702,7 @@ func (ex *simExecutor) Sync(int) (time.Duration, error) {
 }
 
 // Broadcast implements Executor via the configured broadcast stage.
-// With faults active it also resets the storage nodes' per-pass delivery
-// ordinals before releasing the workers into the next pass (all workers
-// are parked on their broadcast mailboxes at this point, so the reset is
-// ordered before any next-pass delivery).
 func (ex *simExecutor) Broadcast(pass int, _ bool) (time.Duration, error) {
-	for i := range ex.serveOrd {
-		ex.serveOrd[i] = 0
-	}
 	return ex.broadcastStage(pass), nil
 }
 
@@ -745,21 +727,6 @@ func (ex *simExecutor) treeBroadcast(pass int) time.Duration {
 	}
 	ex.bcastBox[0].Put(pass)
 	return d
-}
-
-func snapshot(ds []time.Duration) []time.Duration {
-	return append([]time.Duration(nil), ds...)
-}
-
-// maxDelta reports the largest per-node increase since the snapshot.
-func maxDelta(now, before []time.Duration) time.Duration {
-	var m time.Duration
-	for i := range now {
-		if d := now[i] - before[i]; d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 func maxDur(ds []time.Duration) time.Duration {

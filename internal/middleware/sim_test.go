@@ -299,29 +299,28 @@ func TestIdleNodeTakesNoCachedWait(t *testing.T) {
 	}
 }
 
-// TestEarlyReleasedNodeBooksEachChunk pins the per-pass local-reduce and
-// cached-fetch times of fault-free runs whose largest load sits on a
+// TestEarlyReleasedNodeBooksEachChunk checks the per-pass local-reduce
+// and cached-fetch times of fault-free runs whose largest load sits on a
 // middle compute node (n does not divide c). A serialized broadcast
-// releases such a node into the next pass before the master reads the
-// running busy totals the pass is measured from, so until that reading
-// each of the node's waits must be taken and booked on its own. The
-// values were captured with one Wait per cache read and per chunk; a
-// node that booked its merged pass up front would report the smaller
-// load of node 0 or c-1 here.
+// releases such a node into the next pass while the master is still
+// broadcasting, yet every pass does the same work, so every pass must
+// report the same times: each pass's local-reduce equals pass 0's (pinned
+// as an anchor), and each cached pass's cached-fetch equals the largest
+// node's local-disk reads of its chunks (none for in-memory caching).
 func TestEarlyReleasedNodeBooksEachChunk(t *testing.T) {
 	total := 16 * units.MB
 	a, _ := apps.Get("kmeans")
 	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
 	for _, tc := range []struct {
-		chunk                   units.Bytes
-		cache                   CacheMode
-		n, c                    int
-		compute0, compute, read time.Duration // pass 0, then every later pass
+		chunk    units.Bytes
+		cache    CacheMode
+		n, c     int
+		compute0 time.Duration // pass 0's local-reduce
 	}{
-		{64 * units.KB, CacheMemory, 2, 3, ms(854.494976), ms(847.819234), 0},
-		{64 * units.KB, CacheLocalDisk, 2, 3, ms(854.494976), ms(854.494976), ms(960.4375)},
-		{64 * units.KB, CacheLocalDisk, 2, 7, ms(287.056906), ms(280.381164), ms(310.0625)},
-		{units.MB, CacheLocalDisk, 2, 3, ms(614.49492), ms(614.49492), ms(248)},
+		{64 * units.KB, CacheMemory, 2, 3, ms(854.494976)},
+		{64 * units.KB, CacheLocalDisk, 2, 3, ms(854.494976)},
+		{64 * units.KB, CacheLocalDisk, 2, 7, ms(287.056906)},
+		{units.MB, CacheLocalDisk, 2, 3, ms(614.49492)},
 	} {
 		spec := pointsSpec(total)
 		spec.ChunkBytes = tc.chunk
@@ -330,23 +329,39 @@ func TestEarlyReleasedNodeBooksEachChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 		col := NewCollector()
-		if _, err := testGrid(t).SimulateOpts(cost, spec, config(tc.n, tc.c, total),
-			SimOptions{Cache: tc.cache, Trace: col}); err != nil {
+		_, ex, err := testGrid(t).simulateOpts(cost, spec, config(tc.n, tc.c, total),
+			SimOptions{Cache: tc.cache, Trace: col})
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ev := range col.Events() {
-			want := time.Duration(-1)
-			switch {
-			case ev.Phase == PhaseLocalReduce && ev.Pass == 0:
-				want = tc.compute0
-			case ev.Phase == PhaseLocalReduce:
-				want = tc.compute
-			case ev.Phase == PhaseCachedFetch:
-				want = tc.read
+		var read time.Duration
+		if tc.cache == CacheLocalDisk {
+			for j := 0; j < tc.c; j++ {
+				var r time.Duration
+				for _, ch := range ex.workFor(1, j) {
+					r += ex.cluster.DiskSeek + ex.cluster.DiskBW.TransferTime(ch.Bytes)
+				}
+				read = max(read, r)
 			}
-			if want >= 0 && ev.Dur != want {
-				t.Errorf("%v chunks, %v cache, %d-%d: pass %d %v took %v, want %v",
-					tc.chunk, tc.cache, tc.n, tc.c, ev.Pass, ev.Phase, ev.Dur, want)
+		}
+		compute := make([]time.Duration, ex.passes)
+		cached := make([]time.Duration, ex.passes)
+		for _, ev := range col.Events() {
+			switch ev.Phase {
+			case PhaseLocalReduce:
+				compute[ev.Pass] = ev.Dur
+			case PhaseCachedFetch:
+				cached[ev.Pass] = ev.Dur
+			}
+		}
+		for pass := range compute {
+			want := time.Duration(0)
+			if pass > 0 {
+				want = read
+			}
+			if compute[pass] != tc.compute0 || cached[pass] != want {
+				t.Errorf("%v chunks, %v cache, %d-%d: pass %d local-reduce %v, cached-fetch %v; want %v, %v",
+					tc.chunk, tc.cache, tc.n, tc.c, pass, compute[pass], cached[pass], tc.compute0, want)
 			}
 		}
 	}

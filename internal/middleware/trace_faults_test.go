@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"freerideg/internal/adr"
@@ -136,13 +137,16 @@ func TestTraceFaultsDeterministic(t *testing.T) {
 }
 
 // TestTraceFailoverRefetchGolden pins a multi-pass crash plan in which
-// survivors sharing a storage node re-fetch inherited chunks in cached
-// passes: fgrun's seed-7 plan on kmeans 8MB at 2-4 (node 0 crashes in
-// pass 1, node 1 in pass 3; nodes 1 and 3, then 2 and 3, contend for one
-// data server). The order and timing of those contended re-fetches
-// depend on every cached-pass wait a survivor takes before them, so a
-// worker that fetches before its clock has caught up shifts this trace.
-// Regenerate with -update after intentional changes.
+// survivors re-fetch inherited chunks from their home data servers in
+// cached passes: fgrun's seed-7 plan on kmeans 8MB at 2-4 (node 0
+// crashes in pass 1, node 1 in pass 3; the re-fetches contend with each
+// other for the two data servers). The order and timing of those
+// contended re-fetches depend on every cached-pass wait a survivor takes
+// before them, so a worker that fetches before its clock has caught up
+// shifts this trace. The golden is the trace part of fgrun's own output
+// for the same run, testdata/cli/fgrun-sim-fault-trace.golden, between
+// its fault-plan header and its report footer; -update rewrites those
+// lines and keeps the rest, which scripts/check.sh compares with fgrun.
 func TestTraceFailoverRefetchGolden(t *testing.T) {
 	total := 8 * units.MB
 	spec := adr.DatasetSpec{
@@ -171,18 +175,34 @@ func TestTraceFailoverRefetchGolden(t *testing.T) {
 	if res.Retries != 2 {
 		t.Errorf("%d retried deliveries, want the plan's 2", res.Retries)
 	}
-	golden := filepath.Join("testdata", "trace_kmeans_failover_refetch.golden")
+	golden := filepath.Join("..", "..", "testdata", "cli", "fgrun-sim-fault-trace.golden")
+	out, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, want, tail := splitTrace(string(out))
 	if *updateGolden {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		want = buf.String()
+		if err := os.WriteFile(golden, []byte(head+want+tail), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
+	if got := buf.String(); got != want {
+		t.Errorf("failover re-fetch trace deviates from the trace lines of %s (run with -update to regenerate)\ngot:\n%s\nwant:\n%s",
+			golden, got, want)
 	}
-	if got := buf.String(); got != string(want) {
-		t.Errorf("failover re-fetch trace deviates from golden file (run with -update to regenerate)\ngot:\n%s\nwant:\n%s",
-			got, want)
+}
+
+// splitTrace splits a program's output into the lines before its text
+// phase trace, the trace (the lines from the first to the last one that
+// starts with "t="), and the lines after it.
+func splitTrace(out string) (head, trace, tail string) {
+	lines := strings.SplitAfter(out, "\n")
+	first, last := len(lines), len(lines)
+	for i, l := range lines {
+		if strings.HasPrefix(l, "t=") {
+			first, last = min(first, i), i+1
+		}
 	}
+	return strings.Join(lines[:first], ""), strings.Join(lines[first:last], ""), strings.Join(lines[last:], "")
 }
