@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"freerideg/internal/adr"
 	"freerideg/internal/simgrid"
 )
 
@@ -105,26 +104,11 @@ func (s *faultSchedule) aliveAt(pass int) []bool {
 	return alive
 }
 
-// survivorsAt counts the compute nodes contributing to the given pass
-// (0 for a nil schedule; only consulted when faults are active).
-func (s *faultSchedule) survivorsAt(pass int) int {
-	if s == nil {
-		return 0
-	}
-	count := 0
-	for _, a := range s.aliveAt(pass) {
-		if a {
-			count++
-		}
-	}
-	return count
-}
-
-// faultFeed consumes one node's scheduled faults (of one kind) in plan
-// order as delivery attempts flow past. A fault activates when the
-// attempt's (pass, ordinal) reaches its (Pass, Chunk) trigger and then
-// applies to the next Count attempts (Count = 0: every remaining
-// attempt). Feeds are stateful and belong to exactly one run.
+// faultFeed consumes one storage node's scheduled faults (of one kind)
+// in plan order as the run plan's delivery attempts flow past. A fault
+// activates when the attempt's (pass, ordinal) reaches its (Pass, Chunk)
+// trigger and then applies to the next Count attempts (Count = 0: every
+// remaining attempt). Feeds are stateful and belong to one plan build.
 type faultFeed struct {
 	faults []simgrid.Fault
 	cur    int
@@ -137,7 +121,7 @@ type faultFeed struct {
 // (for onset events), and whether any fault applies. Counted faults
 // consume one unit per applying attempt.
 func (ff *faultFeed) next(pass, ordinal int) (f simgrid.Fault, fresh, hit bool) {
-	if ff == nil || ff.cur >= len(ff.faults) {
+	if ff.cur >= len(ff.faults) {
 		return simgrid.Fault{}, false, false
 	}
 	f = ff.faults[ff.cur]
@@ -159,84 +143,6 @@ func (ff *faultFeed) next(pass, ordinal int) (f simgrid.Fault, fresh, hit bool) 
 	}
 	return f, fresh, true
 }
-
-// feedSet holds one feed per storage node (nil where the node has no
-// faults of the feed's kind).
-type feedSet []*faultFeed
-
-// newFeedSet builds consumable feeds from a schedule's per-node lists.
-func newFeedSet(faults [][]simgrid.Fault) feedSet {
-	out := make(feedSet, len(faults))
-	for i, fs := range faults {
-		if len(fs) > 0 {
-			out[i] = &faultFeed{faults: fs}
-		}
-	}
-	return out
-}
-
-// next consults node i's feed; nil-safe on every level.
-func (fs feedSet) next(i, pass, ordinal int) (simgrid.Fault, bool, bool) {
-	if i >= len(fs) {
-		return simgrid.Fault{}, false, false
-	}
-	return fs[i].next(pass, ordinal)
-}
-
-// faultState is one run's failover layout, shared by both executors. The
-// layout is a pure function of the plan and the configuration, which is
-// what makes fault runs deterministic and lets every backend replay the
-// same plan onto the same layout; only the feeds are consumed as the
-// run's deliveries flow past. Apart from assign it is nil/empty on
-// fault-free runs.
-type faultState struct {
-	sched     *faultSchedule
-	assign    [][][]adr.Chunk // per pass, per compute node (base lists when fault-free)
-	wasted    [][]adr.Chunk   // per compute node: the prefix of its crash pass it completes
-	lost      []int           // per compute node: chunks re-dealt at its crash
-	diskFeeds feedSet
-	linkFeeds feedSet
-}
-
-// newFaultState indexes plan for n storage nodes and the compute nodes of
-// base (each one's fault-free chunk list), precomputes every pass's
-// failover assignment, and derives each crashing node's would-be list
-// for its crash pass: the assignment given the nodes already dead before
-// it. That list's length is what the crash re-deals, and the prefix the
-// node completes before dying is its discarded work.
-func newFaultState(plan *simgrid.FaultPlan, base [][]adr.Chunk, n, passes int) (faultState, error) {
-	c := len(base)
-	fs := faultState{sched: newFaultSchedule(plan, n, c)}
-	assign, err := passAssignments(base, fs.sched, passes)
-	if err != nil {
-		return faultState{}, err
-	}
-	fs.assign = assign
-	if fs.sched == nil {
-		return fs, nil
-	}
-	fs.diskFeeds = newFeedSet(fs.sched.disk)
-	fs.linkFeeds = newFeedSet(fs.sched.link)
-	fs.wasted = make([][]adr.Chunk, c)
-	fs.lost = make([]int, c)
-	for j := 0; j < c; j++ {
-		cp, ck, ok := fs.sched.crashPoint(j)
-		if !ok || cp >= passes {
-			continue
-		}
-		wouldBe := base[j]
-		if cp > 0 {
-			wouldBe = assign[cp-1][j]
-		}
-		fs.wasted[j] = wouldBe[:min(ck, len(wouldBe))]
-		fs.lost[j] = len(wouldBe)
-	}
-	return fs, nil
-}
-
-// workFor is compute node j's chunk list for a pass under the failover
-// assignment (empty from the node's crash pass on).
-func (fs *faultState) workFor(pass, j int) []adr.Chunk { return fs.assign[pass][j] }
 
 // incidentLog buffers fault/retry/failover events raised concurrently by
 // the goroutine backend's workers, so they can be flushed in a

@@ -58,9 +58,10 @@ type LocalOptions struct {
 	// Strategy selects how a node's threads share reduction state.
 	Strategy ShmStrategy
 	// Faults, when non-nil and non-empty, injects the plan's fault
-	// schedule (same semantics as SimOptions.Faults) at every thread
-	// count: crash faults fail over with real re-partitioning, flaky
-	// links force the data servers to re-materialize lost deliveries,
+	// schedule at every thread count, through the same run plan and
+	// fault ordinals as SimOptions.Faults: crash faults fail over with
+	// real re-partitioning, flaky links force lost deliveries to be
+	// re-materialized (pass-0 deliveries and failover re-fetches alike),
 	// and slow disks are marked at onset (wall-clock disk speed cannot
 	// be degraded in-process).
 	Faults *simgrid.FaultPlan
@@ -145,7 +146,6 @@ func RunLocalOpts(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNo
 		strategy:  opts.Strategy,
 		gen:       gen,
 		spec:      spec,
-		layout:    layout,
 		fields:    gen.FieldsPerElem(spec),
 		overlap:   overlap,
 		n:         dataNodes,
@@ -158,7 +158,7 @@ func RunLocalOpts(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNo
 	for j := range ex.cache {
 		ex.cache[j] = make(map[int]reduction.Payload)
 	}
-	ex.faultState, err = newFaultState(opts.Faults,
+	ex.runPlan, err = newRunPlan(opts.Faults,
 		chunksByCompute(layout, dataNodes, computeNodes), dataNodes, k.Iterations())
 	if err != nil {
 		return LocalResult{}, err
@@ -190,30 +190,28 @@ func RunLocalOpts(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNo
 // reduction object per strategy, and the pipeline's master flow gathers,
 // reduces globally, and decides convergence.
 //
-// Under fault injection the backend keeps the simulated backend's
-// semantics on wall time: crashed nodes receive no work from their crash
-// pass on (their fresh per-pass reduction object stays the merge
-// identity, which is exactly a lost contribution), the failover
-// assignment re-deals their chunks to the survivors, survivors
-// re-materialize inherited chunks missing from their cache, and flaky
-// links force data servers to re-materialize lost deliveries. Only the
-// real wasted work is measured — the detection timeout the simulated
-// backend models has no wall-clock counterpart here.
+// Under fault injection the backend interprets the simulated backend's
+// run plan on wall time: crashed nodes do no work from their crash pass
+// on (their fresh per-pass reduction object stays the merge identity,
+// which is exactly a lost contribution, so their wasted steps are
+// skipped), the data servers re-materialize and send the inherited
+// chunks the plan fetches in later passes, and every fetch replays its
+// planned delivery attempts. Only the real wasted work is measured — the
+// detection timeout the simulated backend models has no wall-clock
+// counterpart here.
 type localExecutor struct {
 	k        reduction.Kernel
 	threads  int // workers per compute node
 	strategy ShmStrategy
 	gen      datagen.Generator
 	spec     adr.DatasetSpec
-	layout   *adr.Layout
 	fields   int
 	overlap  int64
 	n, c     int
 	start    time.Time
 
-	// The failover layout and the fault-injection state (nil/empty on
-	// fault-free runs).
-	faultState
+	// The run's schedule: each node's steps per pass, and the fault plan.
+	runPlan
 	sink      Sink
 	incidents *incidentLog
 
@@ -251,47 +249,38 @@ func (ex *localExecutor) Passes() int { return ex.k.Iterations() }
 // Now implements Executor (wall time since run start).
 func (ex *localExecutor) Now() time.Duration { return time.Since(ex.start) }
 
-// LocalReduction runs one pass's chunk phase: materialize-and-deliver on
-// pass 0, cache replay afterwards. Under fault injection it closes the
-// pass by emitting the pass's crash incidents and flushing the buffered
-// fault/retry/failover events in deterministic order.
+// LocalReduction runs one pass's chunk phase as the run plan lays it
+// out: each data server walks the plan's fetches from it in plan order,
+// materializing every chunk and sending it to its compute node, and each
+// compute node runs its steps, taking a fetched chunk from its channel
+// (and caching it) and a cached one from its cache. Pass 0 fetches every
+// chunk; a later pass fetches only what a survivor inherited (the
+// "failover re-fetch"). A crashing node's pass is lost work, which this
+// backend skips. Under fault injection the pass closes by emitting its
+// crash incidents and flushing the buffered fault/retry/failover events
+// in deterministic order.
 func (ex *localExecutor) LocalReduction(pass int) (PassStats, error) {
 	ex.objs = make([]reduction.Object, ex.c)
 	for j := range ex.objs {
 		ex.objs[j] = ex.k.NewObject()
 	}
-	var st PassStats
-	var err error
-	if pass == 0 {
-		st, err = ex.firstPass()
-	} else {
-		st, err = ex.cachedPass(pass)
-	}
+	st, err := ex.chunkPhase(pass)
 	if err != nil {
 		return st, err
 	}
-	if ex.sched != nil {
-		for j := 0; j < ex.c; j++ {
-			if cp, _, ok := ex.sched.crashPoint(j); ok && cp == pass {
-				ex.incidents.add(Event{Pass: pass, Phase: PhaseFault, Node: j, Detail: "crash"})
-				ex.incidents.add(Event{Pass: pass, Phase: PhaseFailover, Node: j,
-					Detail: fmt.Sprintf("node %d down, %d chunks re-dealt to %d survivors",
-						j, ex.lost[j], ex.sched.survivorsAt(pass))})
-			}
+	for j, cr := range ex.crashes {
+		if cr.pass == pass {
+			ex.incidents.add(Event{Pass: pass, Phase: PhaseFault, Node: j, Detail: "crash"})
+			ex.incidents.add(Event{Pass: pass, Phase: PhaseFailover, Node: j, Detail: cr.failover})
 		}
-		rec, retr := ex.incidents.drain(ex.sink, ex.Now())
-		st.Recovery += rec
-		st.Retries += retr
 	}
+	st.Recovery, st.Retries = ex.incidents.drain(ex.sink, ex.Now())
 	return st, nil
 }
 
-// firstPass materializes chunks on the data servers and streams them to
-// the compute servers, which cache and process them. Delivery targets
-// follow the pass-0 failover assignment (crashed-at-0 nodes receive
-// nothing), and flaky links force the servers to re-materialize and
-// re-send lost deliveries.
-func (ex *localExecutor) firstPass() (PassStats, error) {
+// chunkPhase runs the data and compute servers of one pass (see
+// LocalReduction).
+func (ex *localExecutor) chunkPhase(pass int) (PassStats, error) {
 	diskTime := make([]time.Duration, ex.n)
 	errs := make(chan error, ex.n)
 	chans := make([]chan reduction.Payload, ex.c)
@@ -302,80 +291,31 @@ func (ex *localExecutor) firstPass() (PassStats, error) {
 	// channel is no longer drained, so a pending send would block forever.
 	quit := make(chan struct{})
 	var stop sync.Once
-	owner := make(map[int]int) // chunk index -> receiving compute node
-	for j := 0; j < ex.c; j++ {
-		for _, ch := range ex.workFor(0, j) {
-			owner[ch.Index] = j
-		}
-	}
-	// Data servers: retrieve (materialize) chunks and distribute them to
-	// their compute clients per the shared chunk assignment.
+	errQuit := fmt.Errorf("middleware: pass abandoned")
 	var serveWG sync.WaitGroup
 	for dn := 0; dn < ex.n; dn++ {
-		dn := dn
 		serveWG.Add(1)
 		go func() {
 			defer serveWG.Done()
-			serveOrd := 0 // live delivery ordinal, the fault trigger coordinate
-			for _, ch := range ex.layout.NodeChunks(dn) {
-				target, ok := owner[ch.Index]
-				if !ok {
-					continue // unreachable: every chunk has a surviving owner
+			err := ex.order(pass, func(j, k int) error {
+				ch := ex.work[pass][j][k]
+				if ex.source(pass, j, k, ch) != dn || ex.crashPass(j) == pass {
+					return nil // cached, another server's chunk, or lost crash-pass work
 				}
-				t0 := time.Now()
-				payload, err := ex.materialize(ch)
+				payload, d, err := ex.fetch(pass, j, ch, dn, ex.attempts(pass, j, k))
 				if err != nil {
-					errs <- err
-					return
-				}
-				d := time.Since(t0)
-				if ex.sched != nil {
-					ok := true
-					for attempt := 1; ; attempt++ {
-						if f, fresh, hit := ex.diskFeeds.next(dn, 0, serveOrd); hit && fresh {
-							// Onset marker only: wall-clock disk speed cannot
-							// be degraded for real here.
-							ex.incidents.add(Event{Pass: 0, Phase: PhaseFault, Node: dn,
-								Detail: fmt.Sprintf("slow-disk x%.3g on storage node %d", f.Factor, dn)})
-						}
-						_, lfresh, lhit := ex.linkFeeds.next(dn, 0, serveOrd)
-						serveOrd++
-						if lhit && lfresh {
-							ex.incidents.add(Event{Pass: 0, Phase: PhaseFault, Node: dn,
-								Detail: fmt.Sprintf("flaky-link on storage node %d", dn)})
-						}
-						if !lhit {
-							break
-						}
-						if attempt > maxRetries {
-							errs <- fmt.Errorf("middleware: delivery of chunk %d from storage node %d to node %d failed after %d attempts",
-								ch.Index, dn, target, attempt)
-							ok = false
-							break
-						}
-						// The delivery was lost: the wasted materialization is
-						// recovery overhead, and the chunk is re-read.
-						ex.incidents.add(Event{Pass: 0, Phase: PhaseRetry, Node: target, Dur: d,
-							Detail: fmt.Sprintf("chunk %d from storage node %d, attempt %d", ch.Index, dn, attempt)})
-						t0 = time.Now()
-						payload, err = ex.materialize(ch)
-						if err != nil {
-							errs <- err
-							ok = false
-							break
-						}
-						d = time.Since(t0)
-					}
-					if !ok {
-						return
-					}
+					return err
 				}
 				diskTime[dn] += d
 				select {
-				case chans[target] <- payload:
+				case chans[j] <- payload:
+					return nil
 				case <-quit:
-					return
+					return errQuit
 				}
+			})
+			if err != nil && err != errQuit {
+				errs <- err
 			}
 		}()
 	}
@@ -385,10 +325,27 @@ func (ex *localExecutor) firstPass() (PassStats, error) {
 			close(c)
 		}
 	}()
-	// Compute servers: receive, cache, process.
 	recv, comp, err := ex.reduceNodes(func(j int) nextFunc {
-		var mu sync.Mutex // guards ex.cache[j] across the node's workers
+		work := ex.work[pass][j]
+		if ex.crashPass(j) == pass {
+			work = nil
+		}
+		var mu sync.Mutex // guards k and ex.cache[j] across the node's workers
+		k := 0
 		return func() (reduction.Payload, time.Duration, bool, error) {
+			mu.Lock()
+			if k == len(work) {
+				mu.Unlock()
+				return reduction.Payload{}, 0, false, nil
+			}
+			ch, from := work[k], ex.source(pass, j, k, work[k])
+			k++
+			if from == cacheTier {
+				p := ex.cache[j][ch.Index]
+				mu.Unlock()
+				return p, 0, true, nil
+			}
+			mu.Unlock()
 			t0 := time.Now()
 			p, ok := <-chans[j]
 			d := time.Since(t0)
@@ -413,44 +370,31 @@ func (ex *localExecutor) firstPass() (PassStats, error) {
 	return PassStats{Retrieval: maxDur(diskTime), Delivery: recv, Compute: comp}, nil
 }
 
-// cachedPass replays each node's cached chunks per the pass's failover
-// assignment: pure local processing, except that chunks a survivor
-// inherited from a dead node are missing from its cache and must be
-// re-materialized (charged as retrieval, the "failover re-fetch").
-func (ex *localExecutor) cachedPass(pass int) (PassStats, error) {
-	fetch, comp, err := ex.reduceNodes(func(j int) nextFunc {
-		work := ex.workFor(pass, j)
-		var mu sync.Mutex // guards i and ex.cache[j] across the node's workers
-		i := 0
-		return func() (reduction.Payload, time.Duration, bool, error) {
-			mu.Lock()
-			if i == len(work) {
-				mu.Unlock()
-				return reduction.Payload{}, 0, false, nil
-			}
-			ch := work[i]
-			i++
-			p, ok := ex.cache[j][ch.Index]
-			mu.Unlock()
-			if ok {
-				return p, 0, true, nil
-			}
-			t0 := time.Now()
-			p, err := ex.materialize(ch)
-			if err != nil {
-				return p, 0, false, err
-			}
-			d := time.Since(t0)
-			mu.Lock()
-			ex.cache[j][ch.Index] = p
-			mu.Unlock()
-			return p, d, true, nil
+// fetch materializes chunk ch from storage node dn for compute node j,
+// replaying the fetch's delivery attempts: a slow disk is marked at
+// onset, and each dropped attempt's materialization is recovery overhead
+// before the chunk is materialized again. It returns the delivered
+// payload and the time its materialization took.
+func (ex *localExecutor) fetch(pass, j int, ch adr.Chunk, dn int, attempts []attempt) (reduction.Payload, time.Duration, error) {
+	for i, a := range attempts {
+		for _, onset := range a.onsets {
+			ex.incidents.add(Event{Pass: pass, Phase: PhaseFault, Node: dn, Detail: onset})
 		}
-	}, nil)
-	if err != nil {
-		return PassStats{}, err
+		t0 := time.Now()
+		payload, err := ex.materialize(ch)
+		if err != nil {
+			return reduction.Payload{}, 0, err
+		}
+		d := time.Since(t0)
+		if !a.dropped {
+			return payload, d, nil
+		}
+		if i >= maxRetries {
+			break
+		}
+		ex.incidents.add(Event{Pass: pass, Phase: PhaseRetry, Node: j, Dur: d, Detail: retryDetail(ch, dn, i+1)})
 	}
-	return PassStats{Retrieval: fetch, Compute: comp}, nil
+	return reduction.Payload{}, 0, deliveryFailed(ch, dn, j, len(attempts))
 }
 
 // nextFunc yields a compute node's next payload and the time spent

@@ -8,8 +8,7 @@ import (
 
 // serveClients returns, for each of n storage nodes, the compute nodes it
 // serves in ascending order: compute node j is served by storage node
-// j mod n. This is the single source of truth for the repository-to-
-// compute wiring every backend uses.
+// j mod n.
 func serveClients(n, c int) [][]int {
 	clients := make([][]int, n)
 	for j := 0; j < c; j++ {
@@ -18,47 +17,20 @@ func serveClients(n, c int) [][]int {
 	return clients
 }
 
-// chunkTargets maps every chunk of a layout to its compute node: each
-// storage node hands its chunks round-robin to its clients, so
-// targets[dn][i] is the compute node receiving the i-th chunk of storage
-// node dn. All backends derive their chunk placement from this one
-// function, which keeps the goroutine backend's layout identical to the
-// simulated one.
-func chunkTargets(layout *adr.Layout, n, c int) [][]int {
-	clients := serveClients(n, c)
-	targets := make([][]int, n)
-	for dn := 0; dn < n; dn++ {
-		cl := clients[dn]
-		chunks := layout.NodeChunks(dn)
-		targets[dn] = make([]int, len(chunks))
-		for i := range chunks {
-			targets[dn][i] = cl[i%len(cl)]
-		}
-	}
-	return targets
-}
-
-// chunksByCompute assigns the layout's chunks to compute nodes via
-// chunkTargets, returning each compute node's chunk list in delivery
-// order.
+// chunksByCompute is the fault-free chunk placement every run plan starts
+// from: each storage node hands its chunks round-robin to its clients, so
+// compute node j's list is every k-th chunk of storage node j mod n
+// (k clients), in delivery order. Each list is made once at its exact
+// length.
 func chunksByCompute(layout *adr.Layout, n, c int) [][]adr.Chunk {
-	targets := chunkTargets(layout, n, c)
-	// Count first so each compute node's list is made once at its exact
-	// length.
-	counts := make([]int, c)
-	for _, ts := range targets {
-		for _, j := range ts {
-			counts[j]++
-		}
-	}
 	out := make([][]adr.Chunk, c)
-	for j, k := range counts {
-		out[j] = make([]adr.Chunk, 0, k)
-	}
-	for dn := 0; dn < n; dn++ {
-		for i, ch := range layout.NodeChunks(dn) {
-			j := targets[dn][i]
-			out[j] = append(out[j], ch)
+	for dn, cl := range serveClients(n, c) {
+		chunks := layout.NodeChunks(dn)
+		for q, j := range cl {
+			out[j] = make([]adr.Chunk, 0, (len(chunks)-q+len(cl)-1)/len(cl))
+			for i := q; i < len(chunks); i += len(cl) {
+				out[j] = append(out[j], chunks[i])
+			}
 		}
 	}
 	return out

@@ -196,11 +196,12 @@ func TestPassAssignmentsAllDeadError(t *testing.T) {
 	}
 }
 
-// newFaultState derives a crasher's re-dealt count and discarded prefix
+// newRunPlan derives a crasher's re-dealt count and discarded prefix
 // from its would-be list: its assignment given the nodes already dead
 // before its crash pass, so a later crasher's list includes what it
-// inherited from an earlier one.
-func TestNewFaultStateCrashLists(t *testing.T) {
+// inherited from an earlier one. A fault-free plan is the base lists and
+// nothing more.
+func TestNewRunPlanCrashLists(t *testing.T) {
 	chunks := func(lists [][]int) [][]adr.Chunk {
 		out := make([][]adr.Chunk, len(lists))
 		for j, l := range lists {
@@ -222,41 +223,50 @@ func TestNewFaultStateCrashLists(t *testing.T) {
 		{Kind: simgrid.FaultCrash, Node: 1, Pass: 1, Chunk: 1},
 		{Kind: simgrid.FaultCrash, Node: 2, Pass: 3, Chunk: 2},
 	}}
-	fs, err := newFaultState(&plan, base, 1, 4)
+	pl, err := newRunPlan(&plan, base, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Node 1 dies in pass 1 holding its base list; node 2 dies in pass 3
 	// holding its base list plus chunk 4, inherited from node 1.
-	if !reflect.DeepEqual(fs.lost, []int{0, 2, 3}) {
-		t.Errorf("lost = %v, want [0 2 3]", fs.lost)
+	want := []crash{{-1, ""},
+		{1, "node 1 down, 2 chunks re-dealt to 2 survivors"},
+		{3, "node 2 down, 3 chunks re-dealt to 1 survivors"}}
+	if !reflect.DeepEqual(pl.crashes, want) {
+		t.Errorf("crashes = %v, want %v", pl.crashes, want)
 	}
-	for j, want := range [][]int{nil, {1}, {2, 5}} {
-		if got := indexes(fs.wasted[j]); !reflect.DeepEqual(got, want) {
-			t.Errorf("node %d discards %v, want %v", j, got, want)
+	for j, cp := range []int{1, 1, 3} {
+		want := map[int][]int{1: {1}, 2: {2, 5}}[j]
+		if j == 0 {
+			want = []int{0, 3, 1} // node 0 survives and inherits chunk 1
+		}
+		if got := indexes(pl.work[cp][j]); !reflect.DeepEqual(got, want) {
+			t.Errorf("node %d's pass-%d list %v, want %v", j, cp, got, want)
+		}
+		if got := pl.crashPass(j) == cp; got != (j > 0) {
+			t.Errorf("node %d's pass-%d steps wasted = %v", j, cp, got)
 		}
 	}
-	if got := indexes(fs.workFor(3, 0)); !reflect.DeepEqual(got, []int{0, 3, 1, 4, 2, 5}) {
+	if got := indexes(pl.work[3][0]); !reflect.DeepEqual(got, []int{0, 3, 1, 4, 2, 5}) {
 		t.Errorf("pass 3 work of node 0 = %v, want the whole dataset", got)
 	}
 
-	free, err := newFaultState(nil, base, 1, 4)
+	free, err := newRunPlan(nil, base, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if free.sched != nil || free.wasted != nil || free.lost != nil {
+	if free.steps != nil || free.crashes != nil {
 		t.Error("fault-free run built fault-injection state")
 	}
 	for p := 0; p < 4; p++ {
-		if got := indexes(free.workFor(p, 2)); !reflect.DeepEqual(got, []int{2, 5}) {
-			t.Errorf("fault-free pass %d work of node 2 = %v, want its base list", p, got)
+		if &free.work[p][2][0] != &base[2][0] {
+			t.Errorf("fault-free pass %d work of node 2 = %v, want its base list", p, free.work[p][2])
 		}
 	}
 }
 
 // TestChunksByComputeAllocs pins chunksByCompute's allocations beyond
-// serveClients' short client lists to one per slice: chunkTargets' index
-// and target lists, the per-compute-node counts, and the result's index
+// serveClients' short client lists to one per slice: the result's index
 // and chunk lists, each made once at its exact length. A list grown by
 // append would add allocations that scale with the chunk count.
 func TestChunksByComputeAllocs(t *testing.T) {
@@ -281,7 +291,7 @@ func TestChunksByComputeAllocs(t *testing.T) {
 	}
 	clients := testing.AllocsPerRun(20, func() { serveClients(n, c) })
 	allocs := testing.AllocsPerRun(20, func() { chunksByCompute(layout, n, c) })
-	if want := clients + float64((1+n)+1+(1+c)); allocs != want {
+	if want := clients + float64(1+c); allocs != want {
 		t.Errorf("chunksByCompute of %d chunks, %d-%d: %v allocations, want %v",
 			len(layout.Chunks()), n, c, allocs, want)
 	}

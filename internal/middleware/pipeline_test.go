@@ -80,9 +80,10 @@ func TestCollectorBreakdownMatchesLocalProfile(t *testing.T) {
 	}
 }
 
-// All backends must derive chunk placement from the same partition
-// helpers: the simulated backend's per-compute-node chunk streams and the
-// goroutine backend's delivery targets describe the same assignment.
+// The fault-free placement every run plan starts from: compute node j
+// receives chunks of storage node j mod n only, a storage node deals its
+// chunks round-robin to its clients in delivery order, and every chunk
+// of the layout lands on exactly one compute node.
 func TestPartitionHelpersAgree(t *testing.T) {
 	spec := pointsSpec(512 * units.MB)
 	const n, c = 2, 5
@@ -90,32 +91,26 @@ func TestPartitionHelpersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := chunkTargets(layout, n, c)
 	byCompute := chunksByCompute(layout, n, c)
-
-	counts := make([]int, c)
-	for dn := 0; dn < n; dn++ {
-		chunks := layout.NodeChunks(dn)
-		if len(targets[dn]) != len(chunks) {
-			t.Fatalf("storage node %d: %d targets for %d chunks", dn, len(targets[dn]), len(chunks))
-		}
-		for i, j := range targets[dn] {
-			if j < 0 || j >= c {
-				t.Fatalf("chunk %d of storage node %d targets invalid node %d", i, dn, j)
-			}
-			if j%n != dn {
-				t.Errorf("compute node %d served by storage node %d, want %d", j, dn, j%n)
-			}
-			counts[j]++
-		}
-	}
+	clients := serveClients(n, c)
 	got := 0
-	for j := 0; j < c; j++ {
-		if len(byCompute[j]) != counts[j] {
-			t.Errorf("compute node %d: %d chunks via chunksByCompute, %d via chunkTargets",
-				j, len(byCompute[j]), counts[j])
+	for j, chunks := range byCompute {
+		dn := j % n
+		cl := clients[dn]
+		q := 0
+		for cl[q] != j {
+			q++
 		}
-		got += len(byCompute[j])
+		home := layout.NodeChunks(dn)
+		for k, ch := range chunks {
+			if i := q + k*len(cl); i >= len(home) || home[i] != ch {
+				t.Errorf("compute node %d's chunk %d is %+v, want the %d-th of storage node %d", j, k, ch, i, dn)
+			}
+		}
+		if want := (len(home) - q + len(cl) - 1) / len(cl); len(chunks) != want {
+			t.Errorf("compute node %d: %d chunks, want %d", j, len(chunks), want)
+		}
+		got += len(chunks)
 	}
 	if want := len(layout.Chunks()); got != want {
 		t.Errorf("%d chunks assigned, layout has %d", got, want)

@@ -254,14 +254,10 @@ type simExecutor struct {
 	treeRounds    int
 
 	jitter []float64
-	rounds int
 
-	// The failover layout and the fault-injection state (nil/empty on
-	// fault-free runs).
-	faultState
-	sink      Sink
-	cachedSet []map[int]bool // per compute node: chunk indexes in its caching tier
-	processed [][]int        // per pass, per chunk index: times locally reduced (test hook)
+	// The run's schedule: each node's steps per pass, and the fault plan.
+	runPlan
+	sink Sink
 
 	servers     []*simgrid.Resource
 	ic          *simgrid.Resource
@@ -286,11 +282,9 @@ type passBook struct {
 	nodes   []nodeBook   // per compute node
 }
 
-// serverBook holds a storage node's disk and uplink busy time (t_d, t_n)
-// and its live delivery attempts, the ordinal fault triggers count.
+// serverBook holds a storage node's disk and uplink busy time (t_d, t_n).
 type serverBook struct {
 	disk, net time.Duration
-	served    int
 }
 
 // nodeBook holds a compute node's processing, cached-fetch and recovery
@@ -335,31 +329,11 @@ func newSimExecutor(cluster ClusterSpec, cost reduction.CostModel, cfg core.Conf
 		ex.jitter[i] = 1 + cluster.JitterAmp*(2*jrng.Float64()-1)
 	}
 
-	fs, err := newFaultState(opts.Faults, chunksByCompute(layout, n, c), n, ex.passes)
-	if err != nil {
+	var err error
+	if ex.runPlan, err = newRunPlan(opts.Faults, chunksByCompute(layout, n, c), n, ex.passes); err != nil {
 		return nil, err
 	}
-	ex.faultState = fs
 	ex.sink = opts.Trace
-	if ex.sched != nil {
-		ex.cachedSet = make([]map[int]bool, c)
-		for j := range ex.cachedSet {
-			ex.cachedSet[j] = make(map[int]bool)
-		}
-		ex.processed = make([][]int, ex.passes)
-		for p := range ex.processed {
-			ex.processed[p] = make([]int, len(layout.Chunks()))
-		}
-	}
-	// Pass-0 rounds must cover reassignment-lengthened survivor lists and
-	// pass-0 crashers' discarded prefixes.
-	for j := 0; j < c; j++ {
-		l := len(ex.workFor(0, j))
-		if cp, _, ok := ex.sched.crashPoint(j); ok && cp == 0 {
-			l = len(ex.wasted[j])
-		}
-		ex.rounds = max(ex.rounds, l)
-	}
 
 	// Each storage node runs a single-threaded data server: one chunk's
 	// disk read and network send are serviced as one unit, so a node's
@@ -408,113 +382,83 @@ func (ex *simExecutor) spawnWorkers() {
 	}
 }
 
-// worker is one compute node: per pass it performs the chunk phase
-// (retrieval/delivery/processing in synchronous rounds on pass 0, cached
-// processing afterwards), synchronizes on the pass barrier, hands its
-// reduction object to the master, and blocks until the master's result
-// broadcast releases it into the next pass.
+// worker is one compute node. Per pass it runs its plan steps: a fetch
+// holds the chunk's data server, a cache read and the processing are
+// local, and in pass 0 every step is a synchronous chunk round the nodes
+// complete collectively (application-level flow control). Then it
+// synchronizes on the pass barrier, hands its reduction object to the
+// master, and blocks until the master's result broadcast releases it into
+// the next pass.
 //
-// Under fault injection a node scheduled to crash performs its
-// discarded-work prefix, emits a fault event, rides out the master's
-// detection timeout, and then turns into a zombie cooperator: it keeps
-// arriving at the barriers and mailboxes (so the event engine's rendezvous
-// counts stay intact) but does no further work and contributes no
-// reduction object — its chunks run on the survivors per the precomputed
-// failover assignment.
+// The node's own cache reads and processing add up in pending, taken as
+// one Wait right before the next thing another process sees: a fetch (a
+// shared data server), a round barrier, or the end of the chunk phase.
+//
+// Under fault injection a node scheduled to crash runs its wasted steps,
+// emits a fault event, rides out the master's detection timeout, and then
+// turns into a zombie cooperator: it keeps arriving at the barriers and
+// mailboxes (so the event engine's rendezvous counts stay intact) but has
+// no further steps and contributes no reduction object; its chunks run on
+// the survivors per the plan.
 func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
-	procTime := func(ch adr.Chunk) time.Duration {
-		return units.Seconds(float64(ch.Elems)*ex.cost.OpsPerElem/ex.effRate) + ex.cluster.ChunkOverhead
-	}
-	// cachedFetch charges the per-chunk retrieval cost of a pass after
-	// the first, per the configured caching tier.
+	// cachedFetch charges a read from the configured caching tier.
 	cachedFetch := func(ch adr.Chunk) time.Duration {
 		if ex.opts.Cache == CacheLocalDisk {
 			return ex.cluster.DiskSeek + ex.cluster.DiskBW.TransferTime(ch.Bytes)
 		}
 		return 0
 	}
-	crashPass, _, hasCrash := ex.sched.crashPoint(j)
-	if hasCrash && crashPass >= ex.passes {
-		hasCrash = false // crash scheduled beyond the run never fires
+	crashPass := ex.crashPass(j)
+	var pending time.Duration
+	flush := func() {
+		if pending > 0 {
+			p.Wait(pending)
+			pending = 0
+		}
 	}
 	for pass := 0; pass < ex.passes; pass++ {
-		crashing := hasCrash && pass == crashPass
-		dead := hasCrash && pass > crashPass
-		work := ex.workFor(pass, j) // empty for a zombie
-		if crashing {
-			work = ex.wasted[j]
+		crashing := pass == crashPass
+		dead := crashPass >= 0 && pass > crashPass
+		rounds := 0
+		if pass == 0 && !ex.opts.AsyncDelivery {
+			rounds = ex.rounds
 		}
 		book := &ex.books[pass].nodes[j]
 		var wastedDur time.Duration
-		if pass == 0 {
-			// Synchronous chunk rounds: retrieve, transfer, process, then
-			// complete the round collectively.
-			faulted := false
-			for k := 0; k < ex.rounds; k++ {
-				if k < len(work) {
-					ch := work[k]
-					fetch := ex.fetchChunk(p, j, pass, ch, crashing)
-					proc := procTime(ch)
-					p.Wait(proc)
-					if crashing {
-						wastedDur += fetch + proc
-					} else {
-						book.comp += proc
-						ex.markDone(pass, j, ch)
-					}
-				}
-				if crashing && !faulted && k+1 >= len(work) {
-					// The node dies right after its last completed chunk.
-					ex.emitEv(p, pass, PhaseFault, j, 0, "crash")
-					faulted = true
-				}
-				if !ex.opts.AsyncDelivery {
-					p.Arrive(ex.roundBarr)
-				}
+		work := ex.work[pass][j]
+		n := len(work)
+		for k, ch := range work {
+			if k > 0 && rounds > 0 {
+				// The node's next chunk opens the next round.
+				flush()
+				p.Arrive(ex.roundBarr)
 			}
-			if crashing && !faulted {
-				ex.emitEv(p, pass, PhaseFault, j, 0, "crash")
-			}
-		} else if !dead {
-			// Cached passes: retrieval from the caching tier (free for
-			// in-memory caching), then local processing; chunks inherited
-			// through failover are re-fetched from their home storage
-			// node. The node's own cache reads and processing are booked
-			// as they come and add up in pending, taken as one Wait right
-			// before the next thing another process sees: a re-fetch (a
-			// shared data server) or the end of the chunk phase.
-			var pending time.Duration
-			flush := func() {
-				if pending > 0 {
-					p.Wait(pending)
-					pending = 0
+			var fetch time.Duration
+			if from := ex.source(pass, j, k, ch); from == cacheTier {
+				fetch = cachedFetch(ch)
+				pending += fetch
+				if !crashing {
+					book.cached += fetch
 				}
+			} else {
+				flush()
+				fetch = ex.fetchChunk(p, j, pass, ch, from, ex.attempts(pass, j, k), crashing)
 			}
-			for _, ch := range work {
-				var fetch time.Duration
-				if ex.sched != nil && !ex.cachedSet[j][ch.Index] {
-					flush()
-					fetch = ex.fetchChunk(p, j, pass, ch, crashing)
-				} else {
-					fetch = cachedFetch(ch)
-					pending += fetch
-					if !crashing {
-						book.cached += fetch
-					}
-				}
-				proc := procTime(ch)
-				pending += proc
-				if crashing {
-					wastedDur += fetch + proc
-				} else {
-					book.comp += proc
-					ex.markDone(pass, j, ch)
-				}
-			}
-			flush()
+			proc := ex.procTime(ch)
+			pending += proc
 			if crashing {
-				ex.emitEv(p, pass, PhaseFault, j, 0, "crash")
+				wastedDur += fetch + proc
+			} else {
+				book.comp += proc
 			}
+		}
+		flush()
+		if crashing {
+			// The node dies right after its last completed chunk.
+			ex.emitEv(p, pass, PhaseFault, j, 0, "crash")
+		}
+		for k := max(n-1, 0); k < rounds; k++ {
+			p.Arrive(ex.roundBarr)
 		}
 		if crashing {
 			// The master notices the silent node only after its detection
@@ -524,9 +468,7 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 			cost := wastedDur + detectTimeout
 			book.recovery += cost
 			mwFailovers.Inc()
-			ex.emitEv(p, pass, PhaseFailover, j, cost,
-				fmt.Sprintf("node %d down, %d chunks re-dealt to %d survivors",
-					j, ex.lost[j], ex.sched.survivorsAt(pass)))
+			ex.emitEv(p, pass, PhaseFailover, j, cost, ex.crashes[j].failover)
 		}
 		p.Arrive(ex.passBarrier)
 		if j == 0 {
@@ -550,76 +492,53 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 	}
 }
 
-// fetchChunk performs one repository chunk fetch for compute node j from
-// the chunk's home storage node (pass 0 and failover re-fetch alike),
-// riding out injected disk and link faults. Successful transfers book
-// that node's disk/uplink busy time (the paper's t_d/t_n accounting);
-// failed attempts and their exponential backoff book the fetching node's
-// recovery time and emit retry events. When wasted is true (the node is
-// in its crash pass) nothing is booked or consumed here — the caller
-// folds the returned elapsed time into the discarded-work total, and
-// fault ordinals keep counting live deliveries only.
-func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, pass int, ch adr.Chunk, wasted bool) time.Duration {
+// procTime is the local reduction time of one chunk.
+func (ex *simExecutor) procTime(ch adr.Chunk) time.Duration {
+	return units.Seconds(float64(ch.Elems)*ex.cost.OpsPerElem/ex.effRate) + ex.cluster.ChunkOverhead
+}
+
+// fetchChunk performs one plan fetch for compute node j: chunk ch from
+// storage node dn, replaying the fetch's delivery attempts. A delivered
+// attempt books that node's disk/uplink busy time (the paper's t_d/t_n
+// accounting); dropped attempts and their exponential backoff book the
+// fetching node's recovery time and emit retry events. A wasted fetch
+// books nothing here: the caller folds the returned elapsed time into
+// the discarded-work total.
+func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, pass int, ch adr.Chunk, dn int, attempts []attempt, wasted bool) time.Duration {
 	t0 := p.Now()
-	dn, book := ch.Home, &ex.books[pass]
-	srv := &book.servers[dn]
+	book := &ex.books[pass]
 	baseRead := time.Duration(float64(ex.cluster.DiskSeek+ex.diskBW.TransferTime(ch.Bytes)) * ex.jitter[ch.Index])
 	send := ex.cluster.NetLatency + ex.bandwidth.TransferTime(ch.Bytes)
-	for attempt := 1; ; attempt++ {
+	for i := range attempts {
+		a := &attempts[i]
 		read := baseRead
-		linkDown := false
-		if ex.sched != nil && !wasted {
-			ord := srv.served
-			if f, fresh, hit := ex.diskFeeds.next(dn, pass, ord); hit {
-				read = time.Duration(float64(read) * f.Factor)
-				if fresh {
-					ex.emitEv(p, pass, PhaseFault, dn, 0,
-						fmt.Sprintf("slow-disk x%.3g on storage node %d", f.Factor, dn))
-				}
-			}
-			if _, fresh, hit := ex.linkFeeds.next(dn, pass, ord); hit {
-				linkDown = true
-				if fresh {
-					ex.emitEv(p, pass, PhaseFault, dn, 0,
-						fmt.Sprintf("flaky-link on storage node %d", dn))
-				}
-			}
-			srv.served++
+		if a.slow > 0 {
+			read = time.Duration(float64(read) * a.slow)
+		}
+		for _, onset := range a.onsets {
+			ex.emitEv(p, pass, PhaseFault, dn, 0, onset)
 		}
 		p.Acquire(ex.servers[dn])
 		p.Wait(read + send)
 		p.Release(ex.servers[dn])
-		if linkDown {
-			if attempt > maxRetries {
-				p.Fail(fmt.Errorf("middleware: delivery of chunk %d from storage node %d to node %d failed after %d attempts",
-					ch.Index, dn, j, attempt))
+		if !a.dropped {
+			if !wasted {
+				book.servers[dn].disk += read
+				book.servers[dn].net += send
 			}
-			backoff := retryBackoff << (attempt - 1)
-			p.Wait(backoff)
-			cost := read + send + backoff
-			book.nodes[j].recovery += cost
-			book.nodes[j].retries++
-			ex.emitEv(p, pass, PhaseRetry, j, cost,
-				fmt.Sprintf("chunk %d from storage node %d, attempt %d", ch.Index, dn, attempt))
-			continue
+			break
 		}
-		if !wasted {
-			srv.disk += read
-			srv.net += send
+		if i >= maxRetries {
+			p.Fail(deliveryFailed(ch, dn, j, i+1))
 		}
-		return p.Now() - t0
+		backoff := retryBackoff << i
+		p.Wait(backoff)
+		cost := read + send + backoff
+		book.nodes[j].recovery += cost
+		book.nodes[j].retries++
+		ex.emitEv(p, pass, PhaseRetry, j, cost, retryDetail(ch, dn, i+1))
 	}
-}
-
-// markDone records a completed local reduction of one chunk: the chunk
-// enters the node's caching tier and, under fault injection, the
-// exactly-once ledger.
-func (ex *simExecutor) markDone(pass, j int, ch adr.Chunk) {
-	if ex.sched == nil {
-		return
-	}
-	ex.cachedSet[j][ch.Index] = true
-	ex.processed[pass][ch.Index]++
+	return p.Now() - t0
 }
 
 // emitEv emits one worker-side event at the current virtual time.
@@ -727,14 +646,4 @@ func (ex *simExecutor) treeBroadcast(pass int) time.Duration {
 	}
 	ex.bcastBox[0].Put(pass)
 	return d
-}
-
-func maxDur(ds []time.Duration) time.Duration {
-	var m time.Duration
-	for _, d := range ds {
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

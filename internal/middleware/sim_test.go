@@ -338,7 +338,7 @@ func TestEarlyReleasedNodeBooksEachChunk(t *testing.T) {
 		if tc.cache == CacheLocalDisk {
 			for j := 0; j < tc.c; j++ {
 				var r time.Duration
-				for _, ch := range ex.workFor(1, j) {
+				for _, ch := range ex.work[1][j] {
 					r += ex.cluster.DiskSeek + ex.cluster.DiskBW.TransferTime(ch.Bytes)
 				}
 				read = max(read, r)

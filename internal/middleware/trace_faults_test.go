@@ -148,16 +148,8 @@ func TestTraceFaultsDeterministic(t *testing.T) {
 // its fault-plan header and its report footer; -update rewrites those
 // lines and keeps the rest, which scripts/check.sh compares with fgrun.
 func TestTraceFailoverRefetchGolden(t *testing.T) {
-	total := 8 * units.MB
-	spec := adr.DatasetSpec{
-		Name:       "kmeans-8MB",
-		TotalBytes: total,
-		ElemBytes:  128,
-		ChunkBytes: 128 * units.KB,
-		Kind:       "points",
-		Dims:       16,
-		Seed:       41,
-	}
+	spec := kmeans8MB()
+	total := spec.TotalBytes
 	a, _ := apps.Get("kmeans")
 	cost, err := a.Cost(spec)
 	if err != nil {
@@ -190,6 +182,19 @@ func TestTraceFailoverRefetchGolden(t *testing.T) {
 	if got := buf.String(); got != want {
 		t.Errorf("failover re-fetch trace deviates from the trace lines of %s (run with -update to regenerate)\ngot:\n%s\nwant:\n%s",
 			golden, got, want)
+	}
+}
+
+// kmeans8MB is the dataset of `fgrun -app kmeans -size 8MB`.
+func kmeans8MB() adr.DatasetSpec {
+	return adr.DatasetSpec{
+		Name:       "kmeans-8MB",
+		TotalBytes: 8 * units.MB,
+		ElemBytes:  128,
+		ChunkBytes: 128 * units.KB,
+		Kind:       "points",
+		Dims:       16,
+		Seed:       41,
 	}
 }
 

@@ -45,10 +45,18 @@ func (k FaultKind) String() string {
 }
 
 // Fault is one scheduled fault. Faults trigger on logical protocol
-// coordinates rather than wall-clock times so that the same plan is
-// meaningful on the simulated backend (virtual time) and on the real
+// coordinates rather than wall-clock times so that the same plan means
+// the same thing on the simulated backend (virtual time) and on the real
 // goroutine backend (wall time): Pass is the middleware pass and Chunk
 // the per-node chunk ordinal within that pass at which the fault fires.
+//
+// Both backends spend a storage node's ordinals by one rule. The node
+// numbers each pass's live delivery attempts in the order of the run's
+// plan — by the position of the chunk in its compute node's list for the
+// pass, then by compute node — and a lost delivery's retries take the
+// next ordinals, before the node's next delivery. A crashing compute
+// node's fetches in its crash pass take no ordinal. On a fault-free
+// first pass this is the order of the storage node's chunks.
 type Fault struct {
 	// Kind selects the failure mode.
 	Kind FaultKind
@@ -62,7 +70,7 @@ type Fault struct {
 	// Chunk is the per-node chunk ordinal within Pass at which the fault
 	// fires: for a crash, how many chunks the node completes in its crash
 	// pass before dying; for disk/link faults, the storage node's
-	// delivery ordinal at which degradation starts.
+	// delivery-attempt ordinal (see above) at which degradation starts.
 	Chunk int
 	// Factor is the slowdown multiplier of a slow-disk fault (> 1).
 	Factor float64

@@ -66,7 +66,7 @@ go test -race -count=1 ./internal/reqtrace/
 
 # Fuzz regression mode: -run='^Fuzz' replays each target's seed corpus
 # (f.Add seeds plus files under testdata/fuzz/) as ordinary tests.
-go test -run='^Fuzz' ./internal/simgrid/ ./internal/fgservice/
+go test -run='^Fuzz' ./internal/simgrid/ ./internal/fgservice/ ./internal/middleware/
 
 # Every command must build — a broken main is invisible to `go test`.
 go build ./cmd/...
@@ -120,11 +120,21 @@ same_predictions "$clitmp/save50.out" "$clitmp/load50.out"
 
 # Goroutine-backend smoke through its one command-line caller: the
 # seed-7 fault plan's flaky link must force exactly two re-materialized
-# deliveries on a real 2-4 run.
-out=$(go run ./cmd/fgrun -app kmeans -size 8MB -local -data 2 -compute 4 -fault-seed 7)
+# deliveries on a real 2-4 run, and both backends interpret one run plan,
+# so the real run must count the simulated run's retries and failovers.
+incidents() {
+    echo "$(echo "$1" | grep -cE '^t=[^ ]+ +retry ') retries," \
+        "$(echo "$1" | grep -cE '^t=[^ ]+ +failover ') failovers"
+}
+out=$("$clitmp/fgrun" -app kmeans -size 8MB -local -data 2 -compute 4 -fault-seed 7 -trace)
+sim=$("$clitmp/fgrun" -app kmeans -size 8MB -data 2 -compute 4 -fault-seed 7 -trace)
 if ! echo "$out" | grep -q 'over 2 retried deliver'; then
     echo "fgrun -local smoke: expected 2 retried deliveries, got:" >&2
     echo "$out" >&2
+    exit 1
+fi
+if [ "$(incidents "$out")" != "$(incidents "$sim")" ]; then
+    echo "fgrun -local smoke: $(incidents "$out") on -local, $(incidents "$sim") simulated" >&2
     exit 1
 fi
 
