@@ -8,6 +8,7 @@ import (
 	"freerideg/internal/apps"
 	"freerideg/internal/core"
 	"freerideg/internal/middleware"
+	"freerideg/internal/simgrid"
 	"freerideg/internal/units"
 )
 
@@ -418,5 +419,43 @@ func TestMaxAndMeanError(t *testing.T) {
 	}
 	if f.MaxError(core.GlobalReduction) != 0 {
 		t.Errorf("missing variant MaxError = %v, want 0", f.MaxError(core.GlobalReduction))
+	}
+}
+
+// TestGeneratedFaultPlansComplete checks GenerateFaultPlan's promise that
+// the middleware's default retry budget recovers from every plan it
+// generates: over seeds 1–500, kmeans on 8 MB (fgrun's dataset) at 1-2,
+// 2-4 and 3-8 completes on the simulator. Plans with two flaky links on
+// one storage node, whose drops can chain into one delivery (seed 114 at
+// 2-4 drew one), must not be generated.
+func TestGeneratedFaultPlansComplete(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1,500 simulations")
+	}
+	h := getHarness(t)
+	const app, total = "kmeans", 8 * units.MB
+	a, _ := apps.Get(app)
+	spec, err := Dataset(app, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, err := a.Cost(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nc := range [][2]int{{1, 2}, {2, 4}, {3, 8}} {
+		cfg := core.Config{
+			Cluster:      "pentium-myrinet",
+			DataNodes:    nc[0],
+			ComputeNodes: nc[1],
+			Bandwidth:    middleware.DefaultBandwidth,
+			DatasetBytes: total,
+		}
+		for seed := int64(1); seed <= 500; seed++ {
+			plan := simgrid.GenerateFaultPlan(seed, nc[0], nc[1], cost.Iterations)
+			if _, err := h.SimulateOpts(app, total, spec.ChunkBytes, cfg, middleware.SimOptions{Faults: &plan}); err != nil {
+				t.Errorf("seed %d at %d-%d (%v): %v", seed, nc[0], nc[1], plan, err)
+			}
+		}
 	}
 }

@@ -34,18 +34,21 @@ func BenchmarkHarnessRunFig5(b *testing.B) {
 
 // BenchmarkRunAllSerial is the sweep baseline: every figure of the
 // paper's evaluation, strictly one simulation at a time. It also reports
-// the simulator's process switches per sweep, the host-independent part
-// of its cost (TestRunAllSwitchCount pins the exact figure).
+// the simulator's calendar events and process switches per sweep, the
+// host-independent part of its cost (TestRunAllSwitchCount pins the exact
+// figures).
 func BenchmarkRunAllSerial(b *testing.B) {
 	b.ReportAllocs()
+	events := metrics.GetCounter("fg_sim_events_total", "")
 	switches := metrics.GetCounter("fg_sim_switches_total", "")
-	before := switches.Value()
+	ev0, before := events.Value(), switches.Value()
 	for i := 0; i < b.N; i++ {
 		h := benchHarness(b, 1)
 		if _, err := h.RunAll(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric((events.Value()-ev0)/float64(b.N), "events/op")
 	b.ReportMetric((switches.Value()-before)/float64(b.N), "switches/op")
 }
 

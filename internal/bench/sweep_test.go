@@ -200,25 +200,32 @@ func TestSimulateMemoizesAcrossSinkModes(t *testing.T) {
 }
 
 // TestRunAllSwitchCount pins the simulator's scheduling work for a cold
-// serial sweep: the number of switches into simulated processes, summed
-// over every simulation RunAll starts. The count is exact and does not
-// depend on the host, so it moves only when the middleware asks the
-// engine for more or fewer events: a worker that waits out each cached
-// chunk on its own reads 1,871,607, and a data server that waits out a
-// read and a send separately reads 1,243,026.
+// serial sweep, summed over every simulation RunAll starts: the events
+// taken off the calendar and the switches into simulated processes. Both
+// counts are exact and do not depend on the host. Events move only when
+// the middleware asks the engine for more or fewer calls: a worker that
+// waits out each cached chunk on its own reads 1,871,607, and a data
+// server that waits out a read and a send separately reads 1,243,026.
+// Switches also move when the workers cut their calls into scripts at
+// other points: a worker that makes every call itself, one switch per
+// event, reads 1,025,915.
 func TestRunAllSwitchCount(t *testing.T) {
 	h, err := NewHarness()
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.SetParallelism(1)
+	events := metrics.GetCounter("fg_sim_events_total", "")
 	switches := metrics.GetCounter("fg_sim_switches_total", "")
-	before := switches.Value()
+	ev0, sw0 := events.Value(), switches.Value()
 	if _, err := h.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	const want = 1025915.0
-	if got := switches.Value() - before; got != want {
-		t.Errorf("cold serial RunAll made %.0f process switches, want %.0f", got, want)
+	const wantEvents, wantSwitches = 1025915.0, 34512.0
+	if got := events.Value() - ev0; got != wantEvents {
+		t.Errorf("cold serial RunAll took %.0f calendar events, want %.0f", got, wantEvents)
+	}
+	if got := switches.Value() - sw0; got != wantSwitches {
+		t.Errorf("cold serial RunAll made %.0f process switches, want %.0f", got, wantSwitches)
 	}
 }

@@ -104,11 +104,14 @@ func TestBackendsSpendFaultOrdinalsAlike(t *testing.T) {
 
 // FuzzPlanBooks checks the run plan and the simulated run's books under
 // generated fault plans. The plan must reduce every chunk exactly once
-// per pass among its live steps, fetch only from a chunk's home, and read
+// per pass among its live steps, fetch only from a chunk's home, read
 // the caching tier only for chunks the node reduced live in an earlier
-// pass. On the simulated run each node's booked processing time per pass
-// must be the sum over its live steps, and each storage node's booked
-// t_d + t_n over the run at most its data server's busy time.
+// pass, and never exhaust a fetch's retries (GenerateFaultPlan promises
+// plans the retry budget recovers from; the corpus keeps seed 114 at 2-4,
+// whose two flaky links on one storage node once chained into one
+// delivery). On the simulated run each node's booked processing time per
+// pass must be the sum over its live steps, and each storage node's
+// booked t_d + t_n over the run at most its data server's busy time.
 func FuzzPlanBooks(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint8(1), uint8(2)) // 2-4
@@ -132,7 +135,6 @@ func FuzzPlanBooks(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%v: %v", faults, err)
 		}
-		exhausted := false
 		reduced := make([]map[int]bool, c) // per node: chunks reduced live so far
 		for j := range reduced {
 			reduced[j] = make(map[int]bool)
@@ -153,7 +155,7 @@ func FuzzPlanBooks(f *testing.F) {
 						t.Fatalf("%v: pass %d node %d fetches chunk %d in no attempt", faults, pass, j, ch.Index)
 					}
 					if len(attempts) > maxRetries && attempts[maxRetries].dropped {
-						exhausted = true
+						t.Fatalf("%v: pass %d node %d exhausts its retries fetching chunk %d", faults, pass, j, ch.Index)
 					}
 					if !wasted {
 						live[ch.Index]++
@@ -175,12 +177,6 @@ func FuzzPlanBooks(f *testing.F) {
 		}
 
 		_, ex, err := testGrid(t).simulateOpts(cost, spec, config(n, c, spec.TotalBytes), SimOptions{Faults: &faults})
-		if exhausted {
-			if err == nil || !strings.Contains(err.Error(), "failed after") {
-				t.Fatalf("%v: a fetch exhausts its retries in the plan, the run reports %v", faults, err)
-			}
-			return
-		}
 		if err != nil {
 			t.Fatalf("%v: %v", faults, err)
 		}

@@ -3,6 +3,7 @@ package middleware
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"freerideg/internal/adr"
@@ -13,11 +14,16 @@ import (
 	"freerideg/internal/units"
 )
 
-// simSwitches counts the simulator's switches into processes over every
-// simulated run: the engine's scheduling work, a host-independent measure
-// of what a run costs.
-var simSwitches = metrics.GetCounter("fg_sim_switches_total",
-	"Coroutine switches into simulated processes across every simulated run.")
+// simEvents and simSwitches count the simulator's calendar events and its
+// switches into processes over every simulated run: the engine's
+// scheduling work and the share of it that cost a coroutine switch, both
+// host-independent measures of what a run costs.
+var (
+	simEvents = metrics.GetCounter("fg_sim_events_total",
+		"Calendar events taken by the simulator across every simulated run.")
+	simSwitches = metrics.GetCounter("fg_sim_switches_total",
+		"Coroutine switches into simulated processes across every simulated run.")
+)
 
 // Grid is a set of simulated clusters that runs the FREERIDE-G protocol.
 //
@@ -211,6 +217,7 @@ func (g *Grid) simulateOpts(cost reduction.CostModel, spec adr.DatasetSpec, cfg 
 	})
 	ex.spawnWorkers()
 	err = ex.eng.Run()
+	simEvents.Add(float64(ex.eng.Events()))
 	simSwitches.Add(float64(ex.eng.Switches()))
 	if err != nil {
 		return SimResult{}, nil, fmt.Errorf("middleware: simulation of %s on %v: %w", cost.Name, cfg, err)
@@ -390,9 +397,13 @@ func (ex *simExecutor) spawnWorkers() {
 // master, and blocks until the master's result broadcast releases it into
 // the next pass.
 //
-// The node's own cache reads and processing add up in pending, taken as
-// one Wait right before the next thing another process sees: a fetch (a
-// shared data server), a round barrier, or the end of the chunk phase.
+// The node does not make its engine calls itself: it queues them in its
+// script (see script) and the engine runs them, so a pass-0 round costs
+// the engine its events but no coroutine switch. The node's own cache
+// reads and processing add up in one Wait, queued right before the next
+// thing another process sees: a fetch (a shared data server), a round
+// barrier, or the end of the chunk phase. Bookings are time-independent
+// sums, made when their steps are queued.
 //
 // Under fault injection a node scheduled to crash runs its wasted steps,
 // emits a fault event, rides out the master's detection timeout, and then
@@ -409,13 +420,8 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 		return 0
 	}
 	crashPass := ex.crashPass(j)
-	var pending time.Duration
-	flush := func() {
-		if pending > 0 {
-			p.Wait(pending)
-			pending = 0
-		}
-	}
+	q := newScript(p)
+	defer q.release()
 	for pass := 0; pass < ex.passes; pass++ {
 		crashing := pass == crashPass
 		dead := crashPass >= 0 && pass > crashPass
@@ -430,52 +436,50 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 		for k, ch := range work {
 			if k > 0 && rounds > 0 {
 				// The node's next chunk opens the next round.
-				flush()
-				p.Arrive(ex.roundBarr)
+				q.add(simgrid.ArriveStep(ex.roundBarr))
 			}
 			var fetch time.Duration
 			if from := ex.source(pass, j, k, ch); from == cacheTier {
 				fetch = cachedFetch(ch)
-				pending += fetch
+				q.pending += fetch
 				if !crashing {
 					book.cached += fetch
 				}
 			} else {
-				flush()
-				fetch = ex.fetchChunk(p, j, pass, ch, from, ex.attempts(pass, j, k), crashing)
+				fetch = ex.fetchChunk(q, j, pass, ch, from, ex.attempts(pass, j, k), crashing)
 			}
 			proc := ex.procTime(ch)
-			pending += proc
+			q.pending += proc
 			if crashing {
 				wastedDur += fetch + proc
 			} else {
 				book.comp += proc
 			}
 		}
-		flush()
 		if crashing {
 			// The node dies right after its last completed chunk.
-			ex.emitEv(p, pass, PhaseFault, j, 0, "crash")
+			ex.emitEv(q, pass, PhaseFault, j, 0, "crash")
 		}
 		for k := max(n-1, 0); k < rounds; k++ {
-			p.Arrive(ex.roundBarr)
+			q.add(simgrid.ArriveStep(ex.roundBarr))
 		}
 		if crashing {
 			// The master notices the silent node only after its detection
 			// timeout; the node's partial pass work is discarded. Both are
 			// pure recovery overhead.
-			p.Wait(detectTimeout)
+			q.add(simgrid.WaitStep(detectTimeout))
 			cost := wastedDur + detectTimeout
 			book.recovery += cost
 			mwFailovers.Inc()
-			ex.emitEv(p, pass, PhaseFailover, j, cost, ex.crashes[j].failover)
+			ex.emitEv(q, pass, PhaseFailover, j, cost, ex.crashes[j].failover)
 		}
-		p.Arrive(ex.passBarrier)
+		q.add(simgrid.ArriveStep(ex.passBarrier))
 		if j == 0 {
 			// Node 0's object is already at the master; signal the pipeline
 			// that the superstep's local reductions are complete. (A dead
 			// node 0 still signals: the master's pass clock ticks regardless
 			// of which nodes contributed.)
+			q.run()
 			ex.readyBox.Put(pass)
 		} else {
 			// Send this node's reduction object to the master — serialized
@@ -483,8 +487,9 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 			// the ablation option. Crashed nodes have no object: they keep
 			// the gather rendezvous count intact but pay no interconnect.
 			if !ex.opts.TreeGather && !crashing && !dead {
-				p.Use(ex.ic, ex.gatherMsg)
+				q.hold(ex.ic, ex.gatherMsg)
 			}
+			q.run()
 			ex.gatherBox.Put(j)
 		}
 		// Wait for the master's result broadcast.
@@ -492,20 +497,99 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 	}
 }
 
+// script is a worker's engine calls not yet made: the steps it has
+// queued, which the engine runs in one Proc.Do when the worker must see
+// the clock or hand off (run), or when the step buffer is full. Local
+// work (cache reads, processing) accumulates in pending and is queued as
+// one Wait in front of the next step, so back-to-back local work takes
+// one Wait, and none at all when it sums to zero.
+type script struct {
+	p       *simgrid.Proc
+	steps   [scriptCap]simgrid.Step
+	n       int // queued steps
+	pending time.Duration
+}
+
+// scriptCap bounds a script. A pass-0 chunk queues five steps (local
+// work, round barrier, data-server hold), so a full buffer runs about 50
+// chunks' calls at once.
+const scriptCap = 256
+
+// scripts recycles scripts across workers and simulations: a sweep runs
+// hundreds of simulations, and a fresh step buffer per worker would add
+// about a quarter to the sweep's heap.
+var scripts = sync.Pool{New: func() any { return new(script) }}
+
+func newScript(p *simgrid.Proc) *script {
+	q := scripts.Get().(*script)
+	q.p = p
+	return q
+}
+
+// release hands the script back, cleared so the pool holds no pointer
+// into this run. The worker's deferred call makes it also when a failed
+// run unwinds the worker.
+func (q *script) release() {
+	*q = script{}
+	scripts.Put(q)
+}
+
+// add queues s behind the pending local work.
+func (q *script) add(s simgrid.Step) {
+	q.queueLocal()
+	q.push(s)
+}
+
+// hold queues holding r for d: acquire, wait, release.
+func (q *script) hold(r *simgrid.Resource, d time.Duration) {
+	q.add(simgrid.AcquireStep(r))
+	q.push(simgrid.WaitStep(d))
+	q.push(simgrid.ReleaseStep(r))
+}
+
+// run makes every queued call, the pending local work included, and
+// returns at the virtual time the last one completes.
+func (q *script) run() {
+	q.queueLocal()
+	if q.n > 0 {
+		q.p.Do(q.steps[:q.n])
+		q.n = 0
+	}
+}
+
+func (q *script) queueLocal() {
+	if d := q.pending; d > 0 {
+		q.pending = 0
+		q.push(simgrid.WaitStep(d))
+	}
+}
+
+func (q *script) push(s simgrid.Step) {
+	if q.n == scriptCap {
+		q.run()
+	}
+	q.steps[q.n] = s
+	q.n++
+}
+
 // procTime is the local reduction time of one chunk.
 func (ex *simExecutor) procTime(ch adr.Chunk) time.Duration {
 	return units.Seconds(float64(ch.Elems)*ex.cost.OpsPerElem/ex.effRate) + ex.cluster.ChunkOverhead
 }
 
-// fetchChunk performs one plan fetch for compute node j: chunk ch from
+// fetchChunk queues one plan fetch for compute node j: chunk ch from
 // storage node dn, replaying the fetch's delivery attempts. A delivered
 // attempt books that node's disk/uplink busy time (the paper's t_d/t_n
 // accounting); dropped attempts and their exponential backoff book the
 // fetching node's recovery time and emit retry events. A wasted fetch
-// books nothing here: the caller folds the returned elapsed time into
-// the discarded-work total.
-func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, pass int, ch adr.Chunk, dn int, attempts []attempt, wasted bool) time.Duration {
-	t0 := p.Now()
+// books nothing here: it is made at once, and its elapsed time is
+// returned for the caller to fold into the discarded-work total.
+func (ex *simExecutor) fetchChunk(q *script, j, pass int, ch adr.Chunk, dn int, attempts []attempt, wasted bool) time.Duration {
+	var t0 time.Duration
+	if wasted {
+		q.run()
+		t0 = q.p.Now()
+	}
 	book := &ex.books[pass]
 	baseRead := time.Duration(float64(ex.cluster.DiskSeek+ex.diskBW.TransferTime(ch.Bytes)) * ex.jitter[ch.Index])
 	send := ex.cluster.NetLatency + ex.bandwidth.TransferTime(ch.Bytes)
@@ -516,11 +600,9 @@ func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, pass int, ch adr.Chunk, dn
 			read = time.Duration(float64(read) * a.slow)
 		}
 		for _, onset := range a.onsets {
-			ex.emitEv(p, pass, PhaseFault, dn, 0, onset)
+			ex.emitEv(q, pass, PhaseFault, dn, 0, onset)
 		}
-		p.Acquire(ex.servers[dn])
-		p.Wait(read + send)
-		p.Release(ex.servers[dn])
+		q.hold(ex.servers[dn], read+send)
 		if !a.dropped {
 			if !wasted {
 				book.servers[dn].disk += read
@@ -529,22 +611,29 @@ func (ex *simExecutor) fetchChunk(p *simgrid.Proc, j, pass int, ch adr.Chunk, dn
 			break
 		}
 		if i >= maxRetries {
-			p.Fail(deliveryFailed(ch, dn, j, i+1))
+			q.run()
+			q.p.Fail(deliveryFailed(ch, dn, j, i+1))
 		}
 		backoff := retryBackoff << i
-		p.Wait(backoff)
+		q.add(simgrid.WaitStep(backoff))
 		cost := read + send + backoff
 		book.nodes[j].recovery += cost
 		book.nodes[j].retries++
-		ex.emitEv(p, pass, PhaseRetry, j, cost, retryDetail(ch, dn, i+1))
+		ex.emitEv(q, pass, PhaseRetry, j, cost, retryDetail(ch, dn, i+1))
 	}
-	return p.Now() - t0
+	if !wasted {
+		return 0
+	}
+	q.run()
+	return q.p.Now() - t0
 }
 
-// emitEv emits one worker-side event at the current virtual time.
-func (ex *simExecutor) emitEv(p *simgrid.Proc, pass int, ph Phase, node int, dur time.Duration, detail string) {
+// emitEv emits one worker-side event at the virtual time the worker's
+// queued calls complete: an event needs the clock, so it runs them first.
+func (ex *simExecutor) emitEv(q *script, pass int, ph Phase, node int, dur time.Duration, detail string) {
 	if ex.sink != nil {
-		ex.sink.Emit(Event{At: p.Now(), Pass: pass, Phase: ph, Node: node, Dur: dur, Detail: detail})
+		q.run()
+		ex.sink.Emit(Event{At: q.p.Now(), Pass: pass, Phase: ph, Node: node, Dur: dur, Detail: detail})
 	}
 }
 

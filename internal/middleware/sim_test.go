@@ -274,12 +274,13 @@ func TestSimulationRunsFast(t *testing.T) {
 	}
 }
 
-// TestIdleNodeTakesNoCachedWait pins the engine's switch count for a run
-// with more compute nodes than chunks: kmeans over two 8 MB chunks at
-// 1-1 to 1-4, where nodes 2 and 3 hold nothing. A node with nothing
-// pending must take no Wait in a cached pass — not even Wait(0), which
-// would tie with node 0 (released by the same broadcast instant as node
-// c-1) and park behind it, one extra switch per cached pass.
+// TestIdleNodeTakesNoCachedWait pins the engine's work for a run with
+// more compute nodes than chunks: kmeans over two 8 MB chunks at 1-1 to
+// 1-4, where nodes 2 and 3 hold nothing. A node with nothing pending must
+// take no Wait in a cached pass — not even Wait(0), which would tie with
+// node 0 (released by the same broadcast instant as node c-1) and park
+// behind it, one extra event per cached pass. The switch counts pin where
+// the workers hand their queued calls to the engine.
 func TestIdleNodeTakesNoCachedWait(t *testing.T) {
 	total := 16 * units.MB
 	spec := pointsSpec(total)
@@ -288,13 +289,18 @@ func TestIdleNodeTakesNoCachedWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, want := range map[int]uint64{1: 22, 2: 86, 3: 148, 4: 210} {
+	for c, want := range map[int]struct{ events, switches uint64 }{
+		1: {22, 22}, 2: {86, 63}, 3: {148, 104}, 4: {210, 145},
+	} {
 		_, ex, err := testGrid(t).simulateOpts(cost, spec, config(1, c, total), SimOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ex.eng.Switches(); got != want {
-			t.Errorf("1-%d: %d process switches, want %d", c, got, want)
+		if got := ex.eng.Events(); got != want.events {
+			t.Errorf("1-%d: %d calendar events, want %d", c, got, want.events)
+		}
+		if got := ex.eng.Switches(); got != want.switches {
+			t.Errorf("1-%d: %d process switches, want %d", c, got, want.switches)
 		}
 	}
 }

@@ -7,19 +7,29 @@
 //
 // Processes are ordinary functions run as coroutines (iter.Pull), and
 // exactly one process executes at any instant: a process runs until it
-// blocks on the virtual clock (Wait), a Resource, or a Mailbox, at which
-// point it switches straight back to the engine, which advances the clock
-// to the next event and switches into that event's process. One
-// coroutine switch, with no trip through the Go scheduler, sits between
-// two events. A Wait whose wake-up is strictly earlier than every event
-// on the calendar would be the very next event, so it advances the clock
-// in place and does not switch at all; a wake-up that ties with a
-// scheduled event parks, so the event scheduled first still runs first.
-// Ties are broken by event sequence number, so simulations are fully
-// deterministic and repeatable.
+// blocks on the virtual clock (Wait), a Resource, a Barrier or a Mailbox,
+// at which point it switches straight back to the engine, which advances
+// the clock to the next event and handles that event. A Wait whose
+// wake-up is strictly earlier than every event on the calendar would be
+// the very next event, so it advances the clock in place and takes no
+// event at all; a wake-up that ties with a scheduled event is scheduled
+// behind it, so the event scheduled first still runs first. Ties are
+// broken by event sequence number, so simulations are fully deterministic
+// and repeatable.
+//
+// A process may hand the engine a script of steps (Do): a Wait, Acquire,
+// Release or Arrive each. The engine runs the steps on the calendar at
+// exactly the point in event order where the process would have made
+// each call: when a step blocks, the event that ends the block (the
+// wake-up, the grant, the barrier's release) continues the script on the
+// engine's own stack, and the engine switches back into the process only
+// when its last step has completed. A script therefore takes the same
+// events as the same calls made one by one, in the same order, at the same
+// virtual times (FuzzScriptTieOrder checks this), but only one coroutine
+// switch. Wait, Acquire, Release and Arrive are one-step scripts.
 //
 // Each process carries its own state (why it last parked, whether it has
-// finished, a resource unit handed to it while it waited), and the engine
+// finished, the script it is running), and the engine
 // keeps its processes in one list in spawn order: a deadlock report walks
 // that list, and after a failure the engine stops every unfinished
 // process along it — a parked one unwinds through its deferred calls, one
@@ -52,6 +62,7 @@ type Engine struct {
 	procs   []*Proc // every spawned process, in spawn order
 	failure error
 
+	taken    uint64 // events Run has taken off the calendar
 	switches uint64 // coroutine switches into processes made by Run
 }
 
@@ -149,24 +160,33 @@ func NewEngine() *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Switches reports how many times Run has switched into a process: one
-// per event taken off the calendar. A Wait that moves the clock in place
-// is not counted, so the count is the run's scheduling work, independent
-// of the host it runs on.
+// Events reports how many events Run has taken off the calendar: the
+// run's scheduling work, independent of the host it runs on and of how
+// its processes cut their calls into scripts. A Wait that moves the
+// clock in place takes no event.
+func (e *Engine) Events() uint64 { return e.taken }
+
+// Switches reports how many times Run has switched into a process: once
+// per start, per Mailbox wake-up and per script whose last step completed
+// on the engine. An event that continues a script without ending it is
+// not a switch, so Switches is at most Events.
 func (e *Engine) Switches() uint64 { return e.switches }
 
 // Proc is a simulated process. All blocking methods must be called from
 // the process's own body function.
 type Proc struct {
-	e       *Engine
-	name    string
-	next    func() (struct{}, bool) // switch into the process until it parks or ends
-	stop    func()                  // unwind a parked process, or retire an unstarted one
-	yield   func(struct{}) bool     // switch back to the engine; false once stopped
-	err     error
-	parked  blockReason // why the process last parked
-	done    bool        // the body has returned, failed or been stopped
-	granted bool        // a Release handed this process a unit while it waited
+	e      *Engine
+	name   string
+	next   func() (struct{}, bool) // switch into the process until it parks or ends
+	stop   func()                  // unwind a parked process, or retire an unstarted one
+	yield  func(struct{}) bool     // switch back to the engine; false once stopped
+	err    error
+	parked blockReason // why the process last parked
+	done   bool        // the body has returned, failed or been stopped
+
+	script []Step  // the steps of the Do in progress; nil outside Do
+	pc     int     // the script's current step
+	one    [1]Step // the script of a single Wait, Acquire, Release or Arrive
 }
 
 // Name reports the name given at Spawn.
@@ -204,9 +224,9 @@ func (e *Engine) schedule(at time.Duration, p *Proc) {
 }
 
 // park switches from the calling process back to the engine until the
-// engine resumes it. reason is recorded for deadlock diagnostics.
-func (p *Proc) park(reason blockReason) {
-	p.parked = reason
+// engine resumes it. The caller has recorded why in p.parked, for
+// deadlock diagnostics.
+func (p *Proc) park() {
 	if !p.yield(struct{}{}) || p.e.failure != nil {
 		// The run has failed or deadlocked; unwind this process too.
 		panic(abortSignal{})
@@ -220,22 +240,107 @@ type abortSignal struct{}
 // the calendar, it would be the next event anyway, so Wait takes its
 // sequence number and moves the clock without leaving the process; a
 // wake-up that ties with a scheduled event parks behind it. Wait performs
-// no heap allocations on either path (the event calendar and the
-// block-reason record are both inline values), which keeps the per-event
-// cost of large simulations flat.
-func (p *Proc) Wait(d time.Duration) {
-	if d < 0 {
-		d = 0
+// no heap allocations on either path (the event calendar, the block-reason
+// record and the one-step script are all inline values), which keeps the
+// per-event cost of large simulations flat.
+func (p *Proc) Wait(d time.Duration) { p.do1(WaitStep(d)) }
+
+// do1 runs a one-step script.
+func (p *Proc) do1(s Step) {
+	p.one[0] = s
+	p.Do(p.one[:])
+}
+
+// Step is one engine call a process hands to Do: a Wait, Acquire,
+// Release or Arrive, made with WaitStep, AcquireStep, ReleaseStep or
+// ArriveStep.
+type Step struct {
+	op stepOp
+	d  time.Duration // stepWait
+	r  *Resource     // stepAcquire, stepRelease
+	b  *Barrier      // stepArrive
+}
+
+type stepOp uint8
+
+const (
+	stepWait stepOp = iota
+	stepAcquire
+	stepRelease
+	stepArrive
+)
+
+// WaitStep is the step of Wait(d).
+func WaitStep(d time.Duration) Step { return Step{op: stepWait, d: d} }
+
+// AcquireStep is the step of Acquire(r).
+func AcquireStep(r *Resource) Step { return Step{op: stepAcquire, r: r} }
+
+// ReleaseStep is the step of Release(r).
+func ReleaseStep(r *Resource) Step { return Step{op: stepRelease, r: r} }
+
+// ArriveStep is the step of Arrive(b).
+func ArriveStep(b *Barrier) Step { return Step{op: stepArrive, b: b} }
+
+// Do makes the calls of steps in order, as if the process made them one
+// by one, and returns when the last one has completed. The engine runs
+// the steps that block on its own stack, at their place in event order,
+// and switches back into the process only once, at the end, so the
+// process must not expect to run in between: anything it would do between
+// two calls that reads the clock or another process's state belongs
+// after Do. Do does not keep steps after it returns; the caller may reuse
+// the slice.
+func (p *Proc) Do(steps []Step) {
+	p.script, p.pc = steps, 0
+	for !p.advance(true) {
+		p.park()
 	}
+	p.script = nil
+}
+
+// advance runs p's script from its current step until a step blocks
+// (false) or the script has ended (true). A blocked step is left
+// current; Run completes it when it takes the event that ends the block.
+// On the engine's stack (inProc false) advance stops short of a step
+// that panics, and reports the script ended so that the process,
+// switched back in, makes that step itself and panics in its own body.
+func (p *Proc) advance(inProc bool) bool {
 	e := p.e
-	at := e.now + d
-	if e.failure == nil && (len(e.events) == 0 || at < e.events[0].at) {
-		e.seq++
-		e.now = at
-		return
+	for ; p.pc < len(p.script); p.pc++ {
+		s := &p.script[p.pc]
+		switch s.op {
+		case stepWait:
+			d := max(s.d, 0)
+			at := e.now + d
+			if e.failure == nil && (len(e.events) == 0 || at < e.events[0].at) {
+				e.seq++
+				e.now = at
+				continue
+			}
+			e.schedule(at, p)
+			p.parked = blockReason{op: opWaiting, dur: d}
+			return false
+		case stepAcquire:
+			if !s.r.acquire(p) {
+				p.parked = blockReason{op: opAcquire, name: s.r.name}
+				return false
+			}
+		case stepRelease:
+			if s.r.inUse <= 0 {
+				if !inProc {
+					return true
+				}
+				panic(fmt.Sprintf("simgrid: release of idle resource %q by %s", s.r.name, p.name))
+			}
+			s.r.release()
+		case stepArrive:
+			if !s.b.arrive(p) {
+				p.parked = blockReason{op: opBarrier, name: s.b.name}
+				return false
+			}
+		}
 	}
-	e.schedule(at, p)
-	p.park(blockReason{op: opWaiting, dur: d})
+	return true
 }
 
 // Fail aborts the process's simulation run with an error. The engine's Run
@@ -257,7 +362,15 @@ func (e *Engine) Run() error {
 			break
 		}
 		e.now = ev.at
+		e.taken++
 		p := ev.proc
+		if p.script != nil {
+			// The event ends the block of the script's current step.
+			p.pc++
+			if !p.advance(false) {
+				continue
+			}
+		}
 		e.switches++
 		p.next()
 		e.failure = p.err // set only once the process has finished

@@ -128,7 +128,7 @@ func TestWaitTieKeepsScheduleOrder(t *testing.T) {
 }
 
 // Switches counts one switch per start and per parked Wait; a Wait that
-// moves the clock in place is not a switch.
+// moves the clock in place is neither an event nor a switch.
 func TestSwitchesCountsParkedWaitsOnly(t *testing.T) {
 	const waits = 10
 	lone := NewEngine()
@@ -157,6 +157,42 @@ func TestSwitchesCountsParkedWaitsOnly(t *testing.T) {
 	}
 	if got, want := pair.Switches(), uint64(2+2*waits); got != want {
 		t.Errorf("two processes in lockstep: %d switches, want %d (two starts, every Wait parked)", got, want)
+	}
+	if got := pair.Events(); got != pair.Switches() {
+		t.Errorf("two processes in lockstep: %d events, want one per switch (%d)", got, pair.Switches())
+	}
+}
+
+// A script takes the events of its calls made one by one but switches
+// back into its process once, when its last step completes.
+func TestScriptSwitchesOnce(t *testing.T) {
+	const waits = 10
+	e := NewEngine()
+	var pongDone time.Duration
+	e.Spawn("ping", func(p *Proc) {
+		for i := 0; i < waits; i++ {
+			p.Wait(time.Second)
+		}
+	})
+	e.Spawn("pong", func(p *Proc) {
+		steps := make([]Step, waits)
+		for i := range steps {
+			steps[i] = WaitStep(time.Second)
+		}
+		p.Do(steps)
+		pongDone = p.Now()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pongDone != waits*time.Second {
+		t.Errorf("the script ended at %v, want %v", pongDone, waits*time.Second)
+	}
+	if got, want := e.Events(), uint64(2+2*waits); got != want {
+		t.Errorf("%d events, want %d (two starts, every Wait parked)", got, want)
+	}
+	if got, want := e.Switches(), uint64(2+waits+1); got != want {
+		t.Errorf("%d switches, want %d (two starts, ping's Waits, pong's script end)", got, want)
 	}
 }
 
@@ -296,6 +332,9 @@ func TestFailUnwindsEveryProcess(t *testing.T) {
 		{"acquire", func(p *Proc, disk *Resource, _ *Mailbox, _ *Barrier) { p.Acquire(disk) }, ""},
 		{"recv", func(p *Proc, _ *Resource, box *Mailbox, _ *Barrier) { p.Get(box) }, ""},
 		{"barrier", func(p *Proc, _ *Resource, _ *Mailbox, sync *Barrier) { p.Arrive(sync) }, ""},
+		{"script", func(p *Proc, disk *Resource, _ *Mailbox, sync *Barrier) {
+			p.Do([]Step{WaitStep(0), AcquireStep(disk), ArriveStep(sync)})
+		}, ""},
 		{"defer-parks-again", func(p *Proc, _ *Resource, box *Mailbox, _ *Barrier) {
 			defer func() {
 				// A process spawned while the run unwinds is stopped too.

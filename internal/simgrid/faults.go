@@ -272,8 +272,12 @@ func parseFault(fields []string) (Fault, error) {
 // for a run shape: the same (seed, dataNodes, computeNodes, passes)
 // always yields the identical plan. Generated plans are guaranteed to
 // leave at least one compute node alive (crashes target distinct nodes
-// and never all of them) and keep per-fault failure counts small enough
-// that the middleware's default retry budget recovers from them.
+// and never all of them) and to be recoverable with the middleware's
+// default retry budget: a flaky link drops at most three deliveries, and
+// a storage node gets at most one flaky link, since the drops of two
+// could chain into one delivery. A flaky link the plan cannot take is
+// still drawn, so the faults drawn after it do not depend on whether it
+// was kept.
 func GenerateFaultPlan(seed int64, dataNodes, computeNodes, passes int) FaultPlan {
 	if dataNodes < 1 {
 		dataNodes = 1
@@ -287,7 +291,7 @@ func GenerateFaultPlan(seed int64, dataNodes, computeNodes, passes int) FaultPla
 	rng := rand.New(rand.NewSource(seed))
 	plan := FaultPlan{Seed: seed}
 	nFaults := 1 + rng.Intn(4)
-	crashed := make(map[int]bool)
+	crashed, flaky := make(map[int]bool), make(map[int]bool)
 	for i := 0; i < nFaults; i++ {
 		switch rng.Intn(3) {
 		case 0: // crash, if a node can still be spared
@@ -315,13 +319,17 @@ func GenerateFaultPlan(seed int64, dataNodes, computeNodes, passes int) FaultPla
 				Count:  rng.Intn(8),
 			})
 		case 2:
-			plan.Faults = append(plan.Faults, Fault{
+			f := Fault{
 				Kind:  FaultFlakyLink,
 				Node:  rng.Intn(dataNodes),
 				Pass:  0,
 				Chunk: rng.Intn(4),
 				Count: 1 + rng.Intn(3),
-			})
+			}
+			if !flaky[f.Node] {
+				flaky[f.Node] = true
+				plan.Faults = append(plan.Faults, f)
+			}
 		}
 	}
 	return plan

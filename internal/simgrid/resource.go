@@ -50,26 +50,27 @@ func (r *Resource) setInUse(n int) {
 // Acquire takes one unit of the resource, blocking in FIFO order until a
 // unit is free. Each Acquire must be paired with a Release by the same
 // process.
-func (p *Proc) Acquire(r *Resource) {
+func (p *Proc) Acquire(r *Resource) { p.do1(AcquireStep(r)) }
+
+// acquire takes a free unit for p and reports true, or queues p behind
+// the waiters and reports false: a later release hands p the unit and
+// schedules it.
+func (r *Resource) acquire(p *Proc) bool {
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
 		r.setInUse(r.inUse + 1)
-		return
+		return true
 	}
 	r.waiters = append(r.waiters, p)
-	p.park(blockReason{op: opAcquire, name: r.name})
-	// Woken by Release, which already transferred the unit to us.
-	if !p.granted {
-		panic(fmt.Sprintf("simgrid: %s woken without grant on %s", p.name, r.name))
-	}
-	p.granted = false
+	return false
 }
 
 // Release returns one unit of the resource and wakes the first waiter,
 // if any, at the current virtual time.
-func (p *Proc) Release(r *Resource) {
-	if r.inUse <= 0 {
-		panic(fmt.Sprintf("simgrid: release of idle resource %q by %s", r.name, p.name))
-	}
+func (p *Proc) Release(r *Resource) { p.do1(ReleaseStep(r)) }
+
+// release returns a held unit: to the first waiter, scheduled at the
+// current virtual time, or to the pool.
+func (r *Resource) release() {
 	if len(r.waiters) == 0 {
 		r.setInUse(r.inUse - 1)
 		return
@@ -78,9 +79,7 @@ func (p *Proc) Release(r *Resource) {
 	// not change, but the finished hold is integrated now, so a capacity-1
 	// resource's BusyTime is exactly its completed holds at any moment.
 	r.setInUse(r.inUse)
-	next := popProc(&r.waiters)
-	next.granted = true
-	r.e.schedule(r.e.now, next)
+	r.e.schedule(r.e.now, popProc(&r.waiters))
 }
 
 // Use acquires the resource, holds it for d of virtual time, and releases
@@ -123,7 +122,8 @@ func (m *Mailbox) Put(v interface{}) {
 func (p *Proc) Get(m *Mailbox) interface{} {
 	for len(m.queue) == 0 {
 		m.waiters = append(m.waiters, p)
-		p.park(blockReason{op: opRecv, name: m.name})
+		p.parked = blockReason{op: opRecv, name: m.name}
+		p.park()
 	}
 	n := len(m.queue)
 	v := m.queue[0]
@@ -156,7 +156,6 @@ type Barrier struct {
 	n       int
 	arrived int
 	waiters []*Proc
-	epoch   int
 }
 
 // NewBarrier creates a barrier for n participants.
@@ -169,20 +168,21 @@ func (e *Engine) NewBarrier(name string, n int) *Barrier {
 
 // Arrive blocks until all n participants have arrived, then releases them
 // all at the current virtual time. The barrier is reusable.
-func (p *Proc) Arrive(b *Barrier) {
+func (p *Proc) Arrive(b *Barrier) { p.do1(ArriveStep(b)) }
+
+// arrive counts p in. The last arrival schedules every waiter, in arrival
+// order, and reports true: it goes on at once. Any other arrival queues p
+// and reports false: only the barrier's release schedules it.
+func (b *Barrier) arrive(p *Proc) bool {
 	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.epoch++
-		for _, w := range b.waiters {
-			b.e.schedule(b.e.now, w)
-		}
-		b.waiters = b.waiters[:0]
-		return
+	if b.arrived < b.n {
+		b.waiters = append(b.waiters, p)
+		return false
 	}
-	epoch := b.epoch
-	b.waiters = append(b.waiters, p)
-	for b.epoch == epoch {
-		p.park(blockReason{op: opBarrier, name: b.name})
+	b.arrived = 0
+	for _, w := range b.waiters {
+		b.e.schedule(b.e.now, w)
 	}
+	b.waiters = b.waiters[:0]
+	return true
 }
