@@ -93,7 +93,6 @@ type Layout struct {
 	Nodes  int
 	Policy DeclusterPolicy
 	chunks []Chunk
-	byNode [][]Chunk
 }
 
 // Partition splits a dataset into chunks and declusters them over nodes.
@@ -142,52 +141,12 @@ func Partition(spec DatasetSpec, nodes int, policy DeclusterPolicy) (*Layout, er
 	default:
 		return nil, fmt.Errorf("adr: unknown decluster policy %v", policy)
 	}
-	// Count first so each node's list is made once at its exact length.
-	counts := make([]int, nodes)
-	for _, c := range l.chunks {
-		counts[c.Home]++
-	}
-	l.byNode = make([][]Chunk, nodes)
-	for n, k := range counts {
-		l.byNode[n] = make([]Chunk, 0, k)
-	}
-	for _, c := range l.chunks {
-		l.byNode[c.Home] = append(l.byNode[c.Home], c)
-	}
 	return l, nil
 }
 
-// Chunks returns all chunks in index order.
+// Chunks returns all chunks in index order; a chunk's Home is the
+// storage node that holds it. Callers must not modify the list.
 func (l *Layout) Chunks() []Chunk { return l.chunks }
-
-// NodeChunks returns the chunks held by one storage node, in index order.
-func (l *Layout) NodeChunks(node int) []Chunk {
-	if node < 0 || node >= l.Nodes {
-		return nil
-	}
-	return l.byNode[node]
-}
-
-// NodeBytes reports the data volume held by one storage node.
-func (l *Layout) NodeBytes(node int) units.Bytes {
-	var total units.Bytes
-	for _, c := range l.NodeChunks(node) {
-		total += c.Bytes
-	}
-	return total
-}
-
-// MaxNodeBytes reports the largest per-node volume (the retrieval
-// critical path).
-func (l *Layout) MaxNodeBytes() units.Bytes {
-	var max units.Bytes
-	for n := 0; n < l.Nodes; n++ {
-		if b := l.NodeBytes(n); b > max {
-			max = b
-		}
-	}
-	return max
-}
 
 // Replica is one copy of a dataset hosted at a repository site.
 type Replica struct {

@@ -200,8 +200,7 @@ func TestFailoverRefetchesFromHomeServer(t *testing.T) {
 		if ch.Home != 1 {
 			t.Fatalf("node 1's chunk %d lives on storage node %d", ch.Index, ch.Home)
 		}
-		read := time.Duration(float64(ex.cluster.DiskSeek+ex.diskBW.TransferTime(ch.Bytes)) * ex.jitter[ch.Index])
-		refetch += read + ex.cluster.NetLatency + ex.bandwidth.TransferTime(ch.Bytes)
+		refetch += ex.read[ch.Index] + ex.cluster.NetLatency + ex.bandwidth.TransferTime(ch.Bytes)
 	}
 	if got, want := ex.servers[1].BusyTime(), free.servers[1].BusyTime()+refetch; got != want {
 		t.Errorf("storage node 1 busy %v, want its fault-free %v plus the re-fetches' %v",

@@ -6,31 +6,39 @@ import (
 	"freerideg/internal/adr"
 )
 
-// serveClients returns, for each of n storage nodes, the compute nodes it
-// serves in ascending order: compute node j is served by storage node
-// j mod n.
-func serveClients(n, c int) [][]int {
-	clients := make([][]int, n)
-	for j := 0; j < c; j++ {
-		clients[j%n] = append(clients[j%n], j)
-	}
-	return clients
-}
-
 // chunksByCompute is the fault-free chunk placement every run plan starts
-// from: each storage node hands its chunks round-robin to its clients, so
-// compute node j's list is every k-th chunk of storage node j mod n
-// (k clients), in delivery order. Each list is made once at its exact
-// length.
+// from: compute node j is served by storage node h = j mod n, as client
+// number j/n of its k = ceil((c-h)/n) clients, and each storage node deals
+// its chunks round-robin to its clients in delivery order, so compute node
+// j's list is every k-th chunk of storage node h from its (j/n)-th on.
+// One pass over the layout deals every chunk into one backing array, cut
+// into per-node views of exact length (cap == len, so an append to one
+// list can never run into the next). It needs c >= n.
 func chunksByCompute(layout *adr.Layout, n, c int) [][]adr.Chunk {
+	chunks := layout.Chunks()
+	next := make([]int, n) // per storage node: its chunk count, then its next client
+	for _, ch := range chunks {
+		next[ch.Home]++
+	}
 	out := make([][]adr.Chunk, c)
-	for dn, cl := range serveClients(n, c) {
-		chunks := layout.NodeChunks(dn)
-		for q, j := range cl {
-			out[j] = make([]adr.Chunk, 0, (len(chunks)-q+len(cl)-1)/len(cl))
-			for i := q; i < len(chunks); i += len(cl) {
-				out[j] = append(out[j], chunks[i])
-			}
+	all := make([]adr.Chunk, len(chunks))
+	off := 0
+	for j := range out {
+		h := j % n
+		k := (c - h + n - 1) / n
+		m := (next[h] - j/n + k - 1) / k
+		out[j] = all[off : off : off+m]
+		off += m
+	}
+	for h := range next {
+		next[h] = h
+	}
+	for _, ch := range chunks {
+		h := ch.Home
+		j := next[h]
+		out[j] = append(out[j], ch)
+		if next[h] = j + n; next[h] >= c {
+			next[h] = h
 		}
 	}
 	return out

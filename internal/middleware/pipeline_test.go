@@ -83,37 +83,51 @@ func TestCollectorBreakdownMatchesLocalProfile(t *testing.T) {
 // The fault-free placement every run plan starts from: compute node j
 // receives chunks of storage node j mod n only, a storage node deals its
 // chunks round-robin to its clients in delivery order, and every chunk
-// of the layout lands on exactly one compute node.
+// of the layout lands on exactly one compute node. The oracle reads each
+// storage node's chunks off the layout by Home, under both decluster
+// policies and with chunk counts that n and c do and do not divide.
 func TestPartitionHelpersAgree(t *testing.T) {
-	spec := pointsSpec(512 * units.MB)
-	const n, c = 2, 5
-	layout, err := adr.Partition(spec, n, adr.RoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byCompute := chunksByCompute(layout, n, c)
-	clients := serveClients(n, c)
-	got := 0
-	for j, chunks := range byCompute {
-		dn := j % n
-		cl := clients[dn]
-		q := 0
-		for cl[q] != j {
-			q++
-		}
-		home := layout.NodeChunks(dn)
-		for k, ch := range chunks {
-			if i := q + k*len(cl); i >= len(home) || home[i] != ch {
-				t.Errorf("compute node %d's chunk %d is %+v, want the %d-th of storage node %d", j, k, ch, i, dn)
+	spec := pointsSpec(520 * units.MB) // 65 chunks
+	for _, policy := range []adr.DeclusterPolicy{adr.RoundRobin, adr.Blocked} {
+		for _, nc := range [][2]int{{1, 1}, {1, 4}, {2, 5}, {3, 3}, {3, 8}, {4, 16}, {5, 100}} {
+			n, c := nc[0], nc[1]
+			layout, err := adr.Partition(spec, n, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byCompute := chunksByCompute(layout, n, c)
+			homes := make([][]adr.Chunk, n) // per storage node: its chunks in index order
+			clients := make([][]int, n)     // per storage node: the compute nodes it serves
+			for _, ch := range layout.Chunks() {
+				homes[ch.Home] = append(homes[ch.Home], ch)
+			}
+			for j := 0; j < c; j++ {
+				clients[j%n] = append(clients[j%n], j)
+			}
+			got := 0
+			for j, chunks := range byCompute {
+				dn := j % n
+				cl := clients[dn]
+				q := 0
+				for cl[q] != j {
+					q++
+				}
+				home := homes[dn]
+				for k, ch := range chunks {
+					if i := q + k*len(cl); i >= len(home) || home[i] != ch {
+						t.Errorf("%v %d-%d: compute node %d's chunk %d is %+v, want the %d-th of storage node %d",
+							policy, n, c, j, k, ch, i, dn)
+					}
+				}
+				if want := (len(home) - q + len(cl) - 1) / len(cl); len(chunks) != want {
+					t.Errorf("%v %d-%d: compute node %d: %d chunks, want %d", policy, n, c, j, len(chunks), want)
+				}
+				got += len(chunks)
+			}
+			if want := len(layout.Chunks()); got != want {
+				t.Errorf("%v %d-%d: %d chunks assigned, layout has %d", policy, n, c, got, want)
 			}
 		}
-		if want := (len(home) - q + len(cl) - 1) / len(cl); len(chunks) != want {
-			t.Errorf("compute node %d: %d chunks, want %d", j, len(chunks), want)
-		}
-		got += len(chunks)
-	}
-	if want := len(layout.Chunks()); got != want {
-		t.Errorf("%d chunks assigned, layout has %d", got, want)
 	}
 }
 

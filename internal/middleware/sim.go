@@ -260,7 +260,13 @@ type simExecutor struct {
 	globalPerPass time.Duration
 	treeRounds    int
 
-	jitter []float64
+	// The run's price table: each chunk's jittered base disk read, by
+	// chunk index, and the processing and send time of the dataset's
+	// full-size chunk (full), which every chunk but a short tail is.
+	read     []time.Duration
+	full     adr.Chunk
+	fullProc time.Duration
+	fullSend time.Duration
 
 	// The run's schedule: each node's steps per pass, and the fault plan.
 	runPlan
@@ -329,11 +335,22 @@ func newSimExecutor(cluster ClusterSpec, cost reduction.CostModel, cfg core.Conf
 		ex.treeRounds++
 	}
 
-	// Deterministic per-chunk disk jitter.
+	// Price every chunk once. The per-chunk disk jitter is drawn in
+	// index order; a chunk the size of the full chunk shares its read,
+	// so only the tail's is computed apart.
+	ex.full.Elems = int64(spec.ChunkBytes / spec.ElemBytes)
+	ex.full.Bytes = units.Bytes(ex.full.Elems) * spec.ElemBytes
+	ex.fullProc, ex.fullSend = ex.procFormula(ex.full), ex.sendFormula(ex.full)
+	fullRead := float64(ex.readFormula(ex.full))
 	jrng := rand.New(rand.NewSource(spec.Seed*1000003 + int64(n)*31 + int64(c)))
-	ex.jitter = make([]float64, len(layout.Chunks()))
-	for i := range ex.jitter {
-		ex.jitter[i] = 1 + cluster.JitterAmp*(2*jrng.Float64()-1)
+	ex.read = make([]time.Duration, len(layout.Chunks()))
+	for i, ch := range layout.Chunks() {
+		base := fullRead
+		if ch.Bytes != ex.full.Bytes {
+			base = float64(ex.readFormula(ch))
+		}
+		jitter := 1 + cluster.JitterAmp*(2*jrng.Float64()-1)
+		ex.read[i] = time.Duration(base * jitter)
 	}
 
 	var err error
@@ -420,6 +437,15 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 		return 0
 	}
 	crashPass := ex.crashPass(j)
+	// Without a fault plan every cached pass reads the node's same list at
+	// the same prices, so its cached fetches and processing are summed once.
+	var cachedSum, compSum time.Duration
+	if ex.steps == nil && ex.passes > 1 {
+		for _, ch := range ex.work[1][j] {
+			cachedSum += cachedFetch(ch)
+			compSum += ex.procTime(ch)
+		}
+	}
 	q := newScript(p)
 	defer q.release()
 	for pass := 0; pass < ex.passes; pass++ {
@@ -433,27 +459,33 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 		var wastedDur time.Duration
 		work := ex.work[pass][j]
 		n := len(work)
-		for k, ch := range work {
-			if k > 0 && rounds > 0 {
-				// The node's next chunk opens the next round.
-				q.add(simgrid.ArriveStep(ex.roundBarr))
-			}
-			var fetch time.Duration
-			if from := ex.source(pass, j, k, ch); from == cacheTier {
-				fetch = cachedFetch(ch)
-				q.pending += fetch
-				if !crashing {
-					book.cached += fetch
+		if pass > 0 && ex.steps == nil {
+			q.pending += cachedSum + compSum
+			book.cached += cachedSum
+			book.comp += compSum
+		} else {
+			for k, ch := range work {
+				if k > 0 && rounds > 0 {
+					// The node's next chunk opens the next round.
+					q.add(simgrid.ArriveStep(ex.roundBarr))
 				}
-			} else {
-				fetch = ex.fetchChunk(q, j, pass, ch, from, ex.attempts(pass, j, k), crashing)
-			}
-			proc := ex.procTime(ch)
-			q.pending += proc
-			if crashing {
-				wastedDur += fetch + proc
-			} else {
-				book.comp += proc
+				var fetch time.Duration
+				if from := ex.source(pass, j, k, ch); from == cacheTier {
+					fetch = cachedFetch(ch)
+					q.pending += fetch
+					if !crashing {
+						book.cached += fetch
+					}
+				} else {
+					fetch = ex.fetchChunk(q, j, pass, ch, from, ex.attempts(pass, j, k), crashing)
+				}
+				proc := ex.procTime(ch)
+				q.pending += proc
+				if crashing {
+					wastedDur += fetch + proc
+				} else {
+					book.comp += proc
+				}
 			}
 		}
 		if crashing {
@@ -572,9 +604,36 @@ func (q *script) push(s simgrid.Step) {
 	q.n++
 }
 
-// procTime is the local reduction time of one chunk.
+// procTime is the local reduction time of one chunk, from the price
+// table unless it is the short tail.
 func (ex *simExecutor) procTime(ch adr.Chunk) time.Duration {
+	if ch.Elems == ex.full.Elems {
+		return ex.fullProc
+	}
+	return ex.procFormula(ch)
+}
+
+// sendTime is the uplink time of one chunk's delivery, from the price
+// table unless it is the short tail.
+func (ex *simExecutor) sendTime(ch adr.Chunk) time.Duration {
+	if ch.Bytes == ex.full.Bytes {
+		return ex.fullSend
+	}
+	return ex.sendFormula(ch)
+}
+
+// procFormula, sendFormula and readFormula price one chunk's processing,
+// its send, and its disk read before jitter.
+func (ex *simExecutor) procFormula(ch adr.Chunk) time.Duration {
 	return units.Seconds(float64(ch.Elems)*ex.cost.OpsPerElem/ex.effRate) + ex.cluster.ChunkOverhead
+}
+
+func (ex *simExecutor) sendFormula(ch adr.Chunk) time.Duration {
+	return ex.cluster.NetLatency + ex.bandwidth.TransferTime(ch.Bytes)
+}
+
+func (ex *simExecutor) readFormula(ch adr.Chunk) time.Duration {
+	return ex.cluster.DiskSeek + ex.diskBW.TransferTime(ch.Bytes)
 }
 
 // fetchChunk queues one plan fetch for compute node j: chunk ch from
@@ -591,8 +650,7 @@ func (ex *simExecutor) fetchChunk(q *script, j, pass int, ch adr.Chunk, dn int, 
 		t0 = q.p.Now()
 	}
 	book := &ex.books[pass]
-	baseRead := time.Duration(float64(ex.cluster.DiskSeek+ex.diskBW.TransferTime(ch.Bytes)) * ex.jitter[ch.Index])
-	send := ex.cluster.NetLatency + ex.bandwidth.TransferTime(ch.Bytes)
+	baseRead, send := ex.read[ch.Index], ex.sendTime(ch)
 	for i := range attempts {
 		a := &attempts[i]
 		read := baseRead

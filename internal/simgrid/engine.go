@@ -17,6 +17,15 @@
 // broken by event sequence number, so simulations are fully deterministic
 // and repeatable.
 //
+// The calendar is a binary heap of events plus a FIFO of the events
+// scheduled for the current instant (barrier releases, resource grants,
+// mailbox wake-ups), which skip the heap. The order is still (time,
+// sequence number): the heap never takes an event for the instant the
+// clock is at, so every heap event at that instant was scheduled before,
+// and precedes, every FIFO entry, and the clock moves on only once the
+// FIFO is empty (FuzzCalendarOrder checks this against a sorted
+// reference).
+//
 // A process may hand the engine a script of steps (Do): a Wait, Acquire,
 // Release or Arrive each. The engine runs the steps on the calendar at
 // exactly the point in event order where the process would have made
@@ -54,13 +63,16 @@ import (
 	"time"
 )
 
-// Engine owns the virtual clock and the event calendar.
+// Engine owns the virtual clock and the event calendar: a heap of events
+// and a FIFO of the events scheduled at the current instant.
 type Engine struct {
-	now     time.Duration
-	events  eventHeap
-	seq     uint64
-	procs   []*Proc // every spawned process, in spawn order
-	failure error
+	now      time.Duration
+	events   eventHeap
+	fifo     []event // events scheduled at now, in sequence order, from fifoHead on
+	fifoHead int
+	seq      uint64
+	procs    []*Proc // every spawned process, in spawn order
+	failure  error
 
 	taken    uint64 // events Run has taken off the calendar
 	switches uint64 // coroutine switches into processes made by Run
@@ -218,9 +230,49 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
+// schedule puts p on the calendar at virtual time at (>= now). An event
+// at the current instant goes to the FIFO and skips the heap: it has a
+// later sequence number than every event already scheduled for now.
 func (e *Engine) schedule(at time.Duration, p *Proc) {
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, proc: p})
+	ev := event{at: at, seq: e.seq, proc: p}
+	if at == e.now {
+		e.fifo = append(e.fifo, ev)
+		return
+	}
+	e.events.push(ev)
+}
+
+// pending reports whether the calendar holds an event.
+func (e *Engine) pending() bool { return len(e.events) > 0 || e.fifoHead < len(e.fifo) }
+
+// next takes the calendar's earliest event by (time, sequence number); the
+// calendar must not be empty. The FIFO holds only events scheduled at the
+// current instant, after every event the heap holds for it, so the heap's
+// top goes first while it is at or before the FIFO's front, and the FIFO
+// otherwise.
+func (e *Engine) next() event {
+	if e.fifoHead == len(e.fifo) || (len(e.events) > 0 && e.events[0].before(e.fifo[e.fifoHead])) {
+		return e.events.pop()
+	}
+	ev := e.fifo[e.fifoHead]
+	e.fifo[e.fifoHead] = event{}
+	if e.fifoHead++; e.fifoHead == len(e.fifo) {
+		e.fifo, e.fifoHead = e.fifo[:0], 0
+	}
+	return ev
+}
+
+// wakeInPlace moves the clock to at, taking a sequence number, if a
+// wake-up at at would be the calendar's next event: the FIFO is empty and
+// at is strictly earlier than the heap's top. It reports whether it did.
+func (e *Engine) wakeInPlace(at time.Duration) bool {
+	if e.fifoHead < len(e.fifo) || (len(e.events) > 0 && at >= e.events[0].at) {
+		return false
+	}
+	e.seq++
+	e.now = at
+	return true
 }
 
 // park switches from the calling process back to the engine until the
@@ -312,9 +364,7 @@ func (p *Proc) advance(inProc bool) bool {
 		case stepWait:
 			d := max(s.d, 0)
 			at := e.now + d
-			if e.failure == nil && (len(e.events) == 0 || at < e.events[0].at) {
-				e.seq++
-				e.now = at
+			if e.failure == nil && e.wakeInPlace(at) {
 				continue
 			}
 			e.schedule(at, p)
@@ -355,8 +405,8 @@ func (p *Proc) Fail(err error) {
 // blocked with no pending event (deadlock). Either way every unfinished
 // process is stopped before Run returns.
 func (e *Engine) Run() error {
-	for e.failure == nil && len(e.events) > 0 {
-		ev := e.events.pop()
+	for e.failure == nil && e.pending() {
+		ev := e.next()
 		if ev.at < e.now {
 			e.failure = fmt.Errorf("simgrid: event scheduled in the past (%v < %v)", ev.at, e.now)
 			break

@@ -46,8 +46,8 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 # budgets under a plain build): the warm rank path and the pooled JSON
 # encoder must hold their testing.AllocsPerRun budgets, a parked
 # Wait/resume must allocate nothing, a Spawn must stay within its
-# budget, and the storage-node and compute-node chunk lists must be made
-# once each at their exact length.
+# budget, Partition must make only the layout and its one chunk list, and
+# the compute-node chunk lists must be exact-length views of one array.
 go test -run='Allocs' ./internal/grid/ ./internal/fgservice/ ./internal/simgrid/ ./internal/adr/ ./internal/middleware/
 
 # Metrics scrape-vs-observe regression, explicitly under the race
