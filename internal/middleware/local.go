@@ -141,19 +141,18 @@ func RunLocalOpts(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNo
 	}
 
 	ex := &localExecutor{
-		k:         k,
-		threads:   max(opts.Threads, 1),
-		strategy:  opts.Strategy,
-		gen:       gen,
-		spec:      spec,
-		fields:    gen.FieldsPerElem(spec),
-		overlap:   overlap,
-		n:         dataNodes,
-		c:         computeNodes,
-		cache:     make([]map[int]reduction.Payload, computeNodes),
-		sink:      opts.Trace,
-		incidents: &incidentLog{},
-		start:     time.Now(),
+		k:        k,
+		threads:  max(opts.Threads, 1),
+		strategy: opts.Strategy,
+		gen:      gen,
+		spec:     spec,
+		fields:   gen.FieldsPerElem(spec),
+		overlap:  overlap,
+		n:        dataNodes,
+		c:        computeNodes,
+		cache:    make([]map[int]reduction.Payload, computeNodes),
+		sink:     opts.Trace,
+		start:    time.Now(),
 	}
 	for j := range ex.cache {
 		ex.cache[j] = make(map[int]reduction.Payload)
@@ -163,7 +162,7 @@ func RunLocalOpts(k reduction.Kernel, spec adr.DatasetSpec, dataNodes, computeNo
 	if err != nil {
 		return LocalResult{}, err
 	}
-	pl := NewPipeline(ex, opts.Trace)
+	pl := NewPipeline(ex, RunInfo{"local", k.Name(), dataNodes, computeNodes, k.Iterations()}, opts.Trace)
 	if err := pl.Run(); err != nil {
 		return LocalResult{}, err
 	}
@@ -212,8 +211,7 @@ type localExecutor struct {
 
 	// The run's schedule: each node's steps per pass, and the fault plan.
 	runPlan
-	sink      Sink
-	incidents *incidentLog
+	sink Sink
 
 	cache   []map[int]reduction.Payload // per compute node, by chunk index
 	objs    []reduction.Object
@@ -234,18 +232,6 @@ func (ex *localExecutor) materialize(ch adr.Chunk) (reduction.Payload, error) {
 	return payload, nil
 }
 
-// Backend implements Executor.
-func (ex *localExecutor) Backend() string { return "local" }
-
-// Workload implements Executor.
-func (ex *localExecutor) Workload() string { return ex.k.Name() }
-
-// Nodes implements Executor.
-func (ex *localExecutor) Nodes() (int, int) { return ex.n, ex.c }
-
-// Passes implements Executor.
-func (ex *localExecutor) Passes() int { return ex.k.Iterations() }
-
 // Now implements Executor (wall time since run start).
 func (ex *localExecutor) Now() time.Duration { return time.Since(ex.start) }
 
@@ -256,33 +242,53 @@ func (ex *localExecutor) Now() time.Duration { return time.Since(ex.start) }
 // (and caching it) and a cached one from its cache. Pass 0 fetches every
 // chunk; a later pass fetches only what a survivor inherited (the
 // "failover re-fetch"). A crashing node's pass is lost work, which this
-// backend skips. Under fault injection the pass closes by emitting its
-// crash incidents and flushing the buffered fault/retry/failover events
-// in deterministic order.
-func (ex *localExecutor) LocalReduction(pass int) (PassStats, error) {
+// backend skips. The pass closes by emitting its incidents: each storage
+// node's fault onsets and retries in plan order, storage node by storage
+// node, then the crash and failover of every node crashing in it.
+func (ex *localExecutor) LocalReduction(pass int) (PhaseBreakdown, error) {
 	ex.objs = make([]reduction.Object, ex.c)
 	for j := range ex.objs {
 		ex.objs[j] = ex.k.NewObject()
 	}
-	st, err := ex.chunkPhase(pass)
+	st, incidents, err := ex.chunkPhase(pass)
 	if err != nil {
 		return st, err
 	}
 	for j, cr := range ex.crashes {
 		if cr.pass == pass {
-			ex.incidents.add(Event{Pass: pass, Phase: PhaseFault, Node: j, Detail: "crash"})
-			ex.incidents.add(Event{Pass: pass, Phase: PhaseFailover, Node: j, Detail: cr.failover})
+			incidents = append(incidents, Event{Pass: pass, Phase: PhaseFault, Node: j, Detail: "crash"},
+				Event{Pass: pass, Phase: PhaseFailover, Node: j, Detail: cr.failover})
+			mwFailovers.Inc()
 		}
 	}
-	st.Recovery, st.Retries = ex.incidents.drain(ex.sink, ex.Now())
+	at := ex.Now()
+	for _, ev := range incidents {
+		if ev.Phase == PhaseRetry {
+			st.Retries++
+			st.Recovery += ev.Dur
+		}
+		if ex.sink != nil {
+			ev.At = at
+			ex.sink.Emit(ev)
+		}
+	}
 	return st, nil
 }
 
+// dataServer is what one storage node's data server did in a pass: its
+// materialization time, its incidents in plan order, and the error that
+// stopped it. Only the server's own goroutine writes it.
+type dataServer struct {
+	disk      time.Duration
+	incidents []Event
+	err       error
+}
+
 // chunkPhase runs the data and compute servers of one pass (see
-// LocalReduction).
-func (ex *localExecutor) chunkPhase(pass int) (PassStats, error) {
-	diskTime := make([]time.Duration, ex.n)
-	errs := make(chan error, ex.n)
+// LocalReduction) and returns the pass's measurements and incidents. No
+// data server outlives it, failed or not.
+func (ex *localExecutor) chunkPhase(pass int) (PhaseBreakdown, []Event, error) {
+	servers := make([]dataServer, ex.n)
 	chans := make([]chan reduction.Payload, ex.c)
 	for j := range chans {
 		chans[j] = make(chan reduction.Payload, 1)
@@ -293,20 +299,20 @@ func (ex *localExecutor) chunkPhase(pass int) (PassStats, error) {
 	var stop sync.Once
 	errQuit := fmt.Errorf("middleware: pass abandoned")
 	var serveWG sync.WaitGroup
-	for dn := 0; dn < ex.n; dn++ {
+	for dn := range servers {
 		serveWG.Add(1)
 		go func() {
 			defer serveWG.Done()
+			srv := &servers[dn]
 			err := ex.order(pass, func(j, k int) error {
 				ch := ex.work[pass][j][k]
 				if ex.source(pass, j, k, ch) != dn || ex.crashPass(j) == pass {
 					return nil // cached, another server's chunk, or lost crash-pass work
 				}
-				payload, d, err := ex.fetch(pass, j, ch, dn, ex.attempts(pass, j, k))
+				payload, err := ex.fetch(srv, pass, j, ch, dn, ex.attempts(pass, j, k))
 				if err != nil {
 					return err
 				}
-				diskTime[dn] += d
 				select {
 				case chans[j] <- payload:
 					return nil
@@ -314,8 +320,8 @@ func (ex *localExecutor) chunkPhase(pass int) (PassStats, error) {
 					return errQuit
 				}
 			})
-			if err != nil && err != errQuit {
-				errs <- err
+			if err != errQuit {
+				srv.err = err
 			}
 		}()
 	}
@@ -325,118 +331,81 @@ func (ex *localExecutor) chunkPhase(pass int) (PassStats, error) {
 			close(c)
 		}
 	}()
-	recv, comp, err := ex.reduceNodes(func(j int) nextFunc {
-		work := ex.work[pass][j]
-		if ex.crashPass(j) == pass {
-			work = nil
-		}
-		var mu sync.Mutex // guards k and ex.cache[j] across the node's workers
-		k := 0
-		return func() (reduction.Payload, time.Duration, bool, error) {
-			mu.Lock()
-			if k == len(work) {
-				mu.Unlock()
-				return reduction.Payload{}, 0, false, nil
-			}
-			ch, from := work[k], ex.source(pass, j, k, work[k])
-			k++
-			if from == cacheTier {
-				p := ex.cache[j][ch.Index]
-				mu.Unlock()
-				return p, 0, true, nil
-			}
-			mu.Unlock()
-			t0 := time.Now()
-			p, ok := <-chans[j]
-			d := time.Since(t0)
-			if ok {
-				mu.Lock()
-				ex.cache[j][p.Chunk.Index] = p
-				mu.Unlock()
-			}
-			return p, d, ok, nil
-		}
-	}, func() { stop.Do(func() { close(quit) }) })
-	serveWG.Wait() // no data server outlives the pass, failed or not
-	if err == nil {
-		select {
-		case err = <-errs:
-		default:
-		}
-	}
-	if err != nil {
-		return PassStats{}, err
-	}
-	return PassStats{Retrieval: maxDur(diskTime), Delivery: recv, Compute: comp}, nil
-}
-
-// fetch materializes chunk ch from storage node dn for compute node j,
-// replaying the fetch's delivery attempts: a slow disk is marked at
-// onset, and each dropped attempt's materialization is recovery overhead
-// before the chunk is materialized again. It returns the delivered
-// payload and the time its materialization took.
-func (ex *localExecutor) fetch(pass, j int, ch adr.Chunk, dn int, attempts []attempt) (reduction.Payload, time.Duration, error) {
-	for i, a := range attempts {
-		for _, onset := range a.onsets {
-			ex.incidents.add(Event{Pass: pass, Phase: PhaseFault, Node: dn, Detail: onset})
-		}
-		t0 := time.Now()
-		payload, err := ex.materialize(ch)
-		if err != nil {
-			return reduction.Payload{}, 0, err
-		}
-		d := time.Since(t0)
-		if !a.dropped {
-			return payload, d, nil
-		}
-		if i >= maxRetries {
-			break
-		}
-		ex.incidents.add(Event{Pass: pass, Phase: PhaseRetry, Node: j, Dur: d, Detail: retryDetail(ch, dn, i+1)})
-	}
-	return reduction.Payload{}, 0, deliveryFailed(ch, dn, j, len(attempts))
-}
-
-// nextFunc yields a compute node's next payload and the time spent
-// obtaining it; ok is false once the node's share of the pass is done.
-// It is called concurrently by the node's workers.
-type nextFunc func() (p reduction.Payload, wait time.Duration, ok bool, err error)
-
-// reduceNodes runs every compute node's share of a pass concurrently,
-// node j pulling from feed(j), and returns the max per-node wait and busy
-// times. failed, when non-nil, runs as soon as a node has failed.
-func (ex *localExecutor) reduceNodes(feed func(j int) nextFunc, failed func()) (wait, busy time.Duration, err error) {
-	waits := make([]time.Duration, ex.c)
-	busys := make([]time.Duration, ex.c)
+	waits, busys := make([]time.Duration, ex.c), make([]time.Duration, ex.c)
 	errs := make([]error, ex.c)
 	var wg sync.WaitGroup
-	for j := 0; j < ex.c; j++ {
+	for j := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			waits[j], busys[j], errs[j] = ex.reduceNode(j, feed(j))
-			if errs[j] != nil && failed != nil {
-				failed()
+			if waits[j], busys[j], errs[j] = ex.reduceNode(pass, j, chans[j]); errs[j] != nil {
+				stop.Do(func() { close(quit) })
 			}
 		}()
 	}
 	wg.Wait()
+	serveWG.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return 0, 0, err
+			return PhaseBreakdown{}, nil, err
 		}
 	}
-	return maxDur(waits), maxDur(busys), nil
+	st := PhaseBreakdown{Delivery: maxDur(waits), Compute: maxDur(busys)}
+	var incidents []Event
+	for _, srv := range servers {
+		if srv.err != nil {
+			return PhaseBreakdown{}, nil, srv.err
+		}
+		st.Retrieval = max(st.Retrieval, srv.disk)
+		incidents = append(incidents, srv.incidents...)
+	}
+	return st, incidents, nil
 }
 
-// reduceNode runs compute node j's share of a pass on ex.threads workers,
-// each pulling payloads from next and folding them into the node's
-// object. Under FullReplication every worker after the first folds into a
-// private object, merged into the node's after the pass; under
+// fetch materializes chunk ch from storage node dn for compute node j,
+// replaying the fetch's delivery attempts on dn's data server srv: a slow
+// disk is marked at onset, and each dropped attempt's materialization is
+// recovery overhead before the chunk is materialized again. The
+// delivered payload's materialization time is srv's disk time.
+func (ex *localExecutor) fetch(srv *dataServer, pass, j int, ch adr.Chunk, dn int, attempts []attempt) (reduction.Payload, error) {
+	for i, a := range attempts {
+		for _, onset := range a.onsets {
+			srv.incidents = append(srv.incidents, Event{Pass: pass, Phase: PhaseFault, Node: dn, Detail: onset})
+		}
+		t0 := time.Now()
+		payload, err := ex.materialize(ch)
+		if err != nil {
+			return reduction.Payload{}, err
+		}
+		d := time.Since(t0)
+		if !a.dropped {
+			srv.disk += d
+			return payload, nil
+		}
+		if i >= maxRetries {
+			break
+		}
+		srv.incidents = append(srv.incidents,
+			Event{Pass: pass, Phase: PhaseRetry, Node: j, Dur: d, Detail: retryDetail(ch, dn, i+1)})
+	}
+	return reduction.Payload{}, deliveryFailed(ch, dn, j, len(attempts))
+}
+
+// reduceNode runs compute node j's steps of pass on ex.threads workers,
+// each taking the node's next step — a fetched chunk from in, which it
+// caches, or a cached one from the node's cache — and folding it into the
+// node's object. Under FullReplication every worker after the first folds
+// into a private object, merged into the node's after the pass; under
 // FullLocking all workers update the node's object behind one mutex.
 // Wait and busy are the max over the node's workers; the replica merge
 // counts as busy time.
-func (ex *localExecutor) reduceNode(j int, next nextFunc) (wait, busy time.Duration, err error) {
+func (ex *localExecutor) reduceNode(pass, j int, in <-chan reduction.Payload) (wait, busy time.Duration, err error) {
+	work := ex.work[pass][j]
+	if ex.crashPass(j) == pass {
+		work = nil
+	}
+	var stepMu sync.Mutex // guards next and ex.cache[j] across the node's workers
+	next := 0
 	objs := make([]reduction.Object, ex.threads)
 	for w := range objs {
 		objs[w] = ex.objs[j]
@@ -454,17 +423,33 @@ func (ex *localExecutor) reduceNode(j int, next nextFunc) (wait, busy time.Durat
 		go func() {
 			defer wg.Done()
 			for {
-				p, d, ok, err := next()
-				waits[w] += d
-				if err != nil || !ok {
-					errs[w] = err
+				stepMu.Lock()
+				if next == len(work) {
+					stepMu.Unlock()
 					return
+				}
+				k := next
+				next++
+				from := ex.source(pass, j, k, work[k])
+				p := ex.cache[j][work[k].Index] // the chunk of a cached step
+				stepMu.Unlock()
+				if from != cacheTier {
+					t0 := time.Now()
+					var ok bool
+					p, ok = <-in
+					waits[w] += time.Since(t0)
+					if !ok {
+						return // the data servers stopped; their error ends the pass
+					}
+					stepMu.Lock()
+					ex.cache[j][p.Chunk.Index] = p
+					stepMu.Unlock()
 				}
 				t0 := time.Now()
 				if ex.strategy == FullLocking {
 					mu.Lock()
 				}
-				err = ex.k.ProcessChunk(p, objs[w])
+				err := ex.k.ProcessChunk(p, objs[w])
 				if ex.strategy == FullLocking {
 					mu.Unlock()
 				}

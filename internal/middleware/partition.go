@@ -76,32 +76,3 @@ func reassignDead[T any](base [][]T, alive []bool) ([][]T, error) {
 	}
 	return out, nil
 }
-
-// passAssignments precomputes each pass's per-node chunk assignment
-// under the schedule's crash faults: passes where everyone is alive
-// share the base assignment, later passes re-deal the accumulated dead
-// nodes' chunks via reassignDead. Errors if any pass is left without a
-// surviving compute node.
-func passAssignments[T any](base [][]T, sched *faultSchedule, passes int) ([][][]T, error) {
-	out := make([][][]T, passes)
-	for p := 0; p < passes; p++ {
-		alive := sched.aliveAt(p)
-		all := true
-		for _, a := range alive {
-			if !a {
-				all = false
-				break
-			}
-		}
-		if alive == nil || all {
-			out[p] = base
-			continue
-		}
-		a, err := reassignDead(base, alive)
-		if err != nil {
-			return nil, fmt.Errorf("middleware: pass %d: %w", p, err)
-		}
-		out[p] = a
-	}
-	return out, nil
-}

@@ -140,21 +140,49 @@ func TestReassignDeadDeterministicAndLossless(t *testing.T) {
 	}
 }
 
+// chunkLists turns per-node lists of chunk indexes into chunk lists.
+func chunkLists(lists [][]int) [][]adr.Chunk {
+	out := make([][]adr.Chunk, len(lists))
+	for j, l := range lists {
+		for _, i := range l {
+			out[j] = append(out[j], adr.Chunk{Index: i})
+		}
+	}
+	return out
+}
+
+// indexLists turns per-node chunk lists into lists of chunk indexes.
+func indexLists(lists [][]adr.Chunk) [][]int {
+	out := make([][]int, len(lists))
+	for j, l := range lists {
+		for _, ch := range l {
+			out[j] = append(out[j], ch.Index)
+		}
+	}
+	return out
+}
+
+// The run plan's per-pass assignment under crash faults: passes where
+// everyone is alive keep the base assignment, later passes re-deal the
+// accumulated dead nodes' chunks via reassignDead.
 func TestPassAssignments(t *testing.T) {
 	base := [][]int{{0, 3}, {1, 4}, {2, 5}}
 	plan := simgrid.FaultPlan{Faults: []simgrid.Fault{
 		{Kind: simgrid.FaultCrash, Node: 1, Pass: 1},
 		{Kind: simgrid.FaultCrash, Node: 2, Pass: 3},
 	}}
-	sched := newFaultSchedule(&plan, 1, 3)
-	if sched == nil {
-		t.Fatal("schedule empty")
-	}
-	assign, err := passAssignments(base, sched, 4)
+	pl, err := newRunPlan(&plan, chunkLists(base), 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pass 0: everyone alive — the base assignment is shared untouched.
+	if pl.crashes == nil {
+		t.Fatal("crash plan built no fault-injection state")
+	}
+	assign := make([][][]int, len(pl.work))
+	for p, w := range pl.work {
+		assign[p] = indexLists(w)
+	}
+	// Pass 0: everyone alive — the base assignment untouched.
 	if !equalLists(assign[0], base) {
 		t.Errorf("pass 0 assignment %v, want base %v", assign[0], base)
 	}
@@ -172,15 +200,30 @@ func TestPassAssignments(t *testing.T) {
 	}
 }
 
+// Without a fault plan, or with one whose faults all address nodes the
+// run does not have, every pass shares the base lists and the plan holds
+// no fault-injection state.
 func TestPassAssignmentsNilScheduleSharesBase(t *testing.T) {
-	base := [][]int{{0}, {1}}
-	assign, err := passAssignments(base, nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range assign {
-		if !equalLists(assign[p], base) {
-			t.Errorf("pass %d assignment %v, want base", p, assign[p])
+	base := chunkLists([][]int{{0}, {1}})
+	absent := simgrid.FaultPlan{Faults: []simgrid.Fault{
+		{Kind: simgrid.FaultCrash, Node: 2, Pass: 1},
+		{Kind: simgrid.FaultFlakyLink, Node: 1, Count: 3},
+		{Kind: simgrid.FaultSlowDisk, Node: 1, Factor: 2},
+	}}
+	for _, plan := range []*simgrid.FaultPlan{nil, &absent} {
+		pl, err := newRunPlan(plan, base, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.steps != nil || pl.crashes != nil {
+			t.Errorf("plan %v built fault-injection state", plan)
+		}
+		for p, w := range pl.work {
+			for j := range base {
+				if len(w[j]) != 1 || &w[j][0] != &base[j][0] {
+					t.Errorf("plan %v: pass %d assignment of node %d is %v, want the base list itself", plan, p, j, w[j])
+				}
+			}
 		}
 	}
 }
@@ -190,8 +233,7 @@ func TestPassAssignmentsAllDeadError(t *testing.T) {
 		{Kind: simgrid.FaultCrash, Node: 0, Pass: 2},
 		{Kind: simgrid.FaultCrash, Node: 1, Pass: 1},
 	}}
-	sched := newFaultSchedule(&plan, 1, 2)
-	if _, err := passAssignments([][]int{{0}, {1}}, sched, 4); err == nil {
+	if _, err := newRunPlan(&plan, chunkLists([][]int{{0}, {1}}), 1, 4); err == nil {
 		t.Error("no error for a plan that kills every compute node")
 	}
 }
@@ -202,15 +244,6 @@ func TestPassAssignmentsAllDeadError(t *testing.T) {
 // inherited from an earlier one. A fault-free plan is the base lists and
 // nothing more.
 func TestNewRunPlanCrashLists(t *testing.T) {
-	chunks := func(lists [][]int) [][]adr.Chunk {
-		out := make([][]adr.Chunk, len(lists))
-		for j, l := range lists {
-			for _, i := range l {
-				out[j] = append(out[j], adr.Chunk{Index: i})
-			}
-		}
-		return out
-	}
 	indexes := func(l []adr.Chunk) []int {
 		var out []int
 		for _, ch := range l {
@@ -218,7 +251,7 @@ func TestNewRunPlanCrashLists(t *testing.T) {
 		}
 		return out
 	}
-	base := chunks([][]int{{0, 3}, {1, 4}, {2, 5}})
+	base := chunkLists([][]int{{0, 3}, {1, 4}, {2, 5}})
 	plan := simgrid.FaultPlan{Faults: []simgrid.Fault{
 		{Kind: simgrid.FaultCrash, Node: 1, Pass: 1, Chunk: 1},
 		{Kind: simgrid.FaultCrash, Node: 2, Pass: 3, Chunk: 2},

@@ -11,9 +11,8 @@ import (
 
 // Fault-recovery metrics, accumulated across every backend: the pipeline
 // is the one place both execution paths converge, so run and retry
-// totals are counted here; failovers are counted at their emission sites
-// (the simulated executor emits directly, the goroutine backend through
-// the incident log).
+// totals are counted here; failovers are counted where each executor
+// raises its failover event.
 var (
 	mwRuns = metrics.GetCounter("fg_mw_runs_total",
 		"Pipeline runs completed across all execution backends.")
@@ -25,49 +24,19 @@ var (
 		"Fault-recovery overhead (discarded work, detection timeouts, retry backoff) in seconds.")
 )
 
-// PassStats reports the per-phase durations one backend accounted for a
-// single pass's chunk work. Per-node phases carry the maximum over nodes,
-// the paper's component accounting.
-type PassStats struct {
-	// Retrieval is first-pass chunk retrieval (max over storage nodes).
-	Retrieval time.Duration
-	// Delivery is first-pass chunk communication (max over nodes).
-	Delivery time.Duration
-	// CachedFetch is cached-pass re-retrieval (max over compute nodes).
-	CachedFetch time.Duration
-	// Compute is local reduction processing (max over compute nodes).
-	Compute time.Duration
-	// Recovery is fault-handling overhead: discarded work of crashed
-	// nodes, failure-detection timeouts, and failed delivery attempts with
-	// their backoff. Unlike the component fields it is summed over nodes —
-	// it accounts total overhead, not a critical path — and sits outside
-	// the paper's additive t_d + t_n + t_c decomposition. Zero on
-	// fault-free runs.
-	Recovery time.Duration
-	// Retries counts failed chunk-delivery attempts that were retried.
-	Retries int
-}
-
 // Executor plugs one backend's stage implementations into the Pipeline.
 // The Pipeline owns the protocol sequence and all accounting; stage
 // methods perform (or simulate) the work of one phase of one pass and
 // report the duration charged to it.
 type Executor interface {
-	// Backend names the execution backend ("sim" or "local").
-	Backend() string
-	// Workload names the application or kernel being run.
-	Workload() string
-	// Nodes reports the storage and compute node counts.
-	Nodes() (data, compute int)
-	// Passes is the maximum number of passes (kernels may converge and
-	// stop the pipeline early via GlobalReduce).
-	Passes() int
 	// Now is the time since run start: virtual time on the simulated
 	// backend, wall time on the goroutine backend.
 	Now() time.Duration
 	// LocalReduction runs one pass's chunk phase on every node: first-pass
 	// retrieval/delivery/processing, or cached-pass re-fetch/processing.
-	LocalReduction(pass int) (PassStats, error)
+	// It reports the pass's Retrieval, Delivery, CachedFetch, Compute,
+	// Recovery and Retries.
+	LocalReduction(pass int) (PhaseBreakdown, error)
 	// Gather collects every worker's reduction object at the master.
 	Gather(pass int) (time.Duration, error)
 	// GlobalReduce performs the master's global reduction; done stops the
@@ -80,23 +49,44 @@ type Executor interface {
 	Broadcast(pass int, done bool) (time.Duration, error)
 }
 
-// PhaseBreakdown is the canonical per-phase accounting of one run — the
-// single replacement for the hand-rolled t_d/t_n/t_c bookkeeping the four
-// backends used to duplicate.
+// RunInfo names a run for its pipeline.
+type RunInfo struct {
+	// Backend names the execution backend ("sim" or "local") and
+	// Workload the application or kernel being run.
+	Backend, Workload string
+	// Data and Compute are the storage and compute node counts.
+	Data, Compute int
+	// Passes is the maximum number of passes (kernels may converge and
+	// stop the pipeline early via GlobalReduce).
+	Passes int
+}
+
+// PhaseBreakdown is the canonical per-phase accounting of one run, or of
+// one pass's chunk phase. Per-node phases carry the maximum over nodes,
+// the paper's component accounting.
 type PhaseBreakdown struct {
-	Retrieval   time.Duration
-	Delivery    time.Duration
+	// Retrieval is first-pass chunk retrieval (max over storage nodes).
+	Retrieval time.Duration
+	// Delivery is first-pass chunk communication (max over nodes).
+	Delivery time.Duration
+	// CachedFetch is cached-pass re-retrieval (max over compute nodes).
 	CachedFetch time.Duration
-	Compute     time.Duration
-	Gather      time.Duration
-	Global      time.Duration
-	Sync        time.Duration
-	Broadcast   time.Duration
-	// Recovery and Retries account fault handling (see PassStats); they
-	// are not part of the Tdisk/Tnetwork/Tcompute components. For a traced
-	// run, Recovery equals the collector's retry + failover phase totals.
+	// Compute is local reduction processing (max over compute nodes).
+	Compute   time.Duration
+	Gather    time.Duration
+	Global    time.Duration
+	Sync      time.Duration
+	Broadcast time.Duration
+	// Recovery is fault-handling overhead: discarded work of crashed
+	// nodes, failure-detection timeouts, and failed delivery attempts with
+	// their backoff. Unlike the component fields it is summed over nodes —
+	// it accounts total overhead, not a critical path — and sits outside
+	// the paper's additive t_d + t_n + t_c decomposition. Zero on
+	// fault-free runs. For a traced run it equals the collector's retry +
+	// failover phase totals.
 	Recovery time.Duration
-	Retries  int
+	// Retries counts failed chunk-delivery attempts that were retried.
+	Retries int
 }
 
 // Tdisk is the paper's data retrieval component t_d.
@@ -151,14 +141,15 @@ func (b PhaseBreakdown) Profile(app string, cfg core.Config, roBytes, bcastBytes
 // execute the same protocol with the same accounting.
 type Pipeline struct {
 	exec       Executor
+	run        RunInfo
 	sink       Sink
 	bd         PhaseBreakdown
 	iterations int
 }
 
 // NewPipeline builds a pipeline over an executor. sink may be nil.
-func NewPipeline(exec Executor, sink Sink) *Pipeline {
-	return &Pipeline{exec: exec, sink: sink}
+func NewPipeline(exec Executor, run RunInfo, sink Sink) *Pipeline {
+	return &Pipeline{exec: exec, run: run, sink: sink}
 }
 
 // Breakdown returns the phase accounting accumulated by Run.
@@ -167,34 +158,36 @@ func (pl *Pipeline) Breakdown() PhaseBreakdown { return pl.bd }
 // Iterations reports the number of passes Run performed.
 func (pl *Pipeline) Iterations() int { return pl.iterations }
 
-func (pl *Pipeline) emit(ev Event) {
-	if pl.sink != nil {
-		pl.sink.Emit(ev)
-	}
-}
-
 // emitPhase records a completed phase: its duration enters the breakdown
 // via the caller; the event timestamps the completion.
 func (pl *Pipeline) emitPhase(pass int, ph Phase, dur time.Duration, detail string) {
-	pl.emit(Event{At: pl.exec.Now(), Pass: pass, Phase: ph, Node: -1, Dur: dur, Detail: detail})
+	if pl.sink != nil {
+		pl.sink.Emit(Event{At: pl.exec.Now(), Pass: pass, Phase: ph, Node: -1, Dur: dur, Detail: detail})
+	}
 }
 
-// Run executes the protocol for up to Passes() passes and returns the
-// number performed. The accumulated breakdown is available afterwards
-// from Breakdown.
+// Run executes the protocol for up to run.Passes passes. The accumulated
+// breakdown and the number of passes performed are available afterwards
+// from Breakdown and Iterations. Event details are formatted only when a
+// sink listens.
 func (pl *Pipeline) Run() error {
-	n, c := pl.exec.Nodes()
-	pl.emit(Event{
-		At: pl.exec.Now(), Pass: -1, Phase: PhaseRunStart, Node: -1,
-		Detail: fmt.Sprintf("run=%s backend=%s data=%d compute=%d passes=%d",
-			pl.exec.Workload(), pl.exec.Backend(), n, c, pl.exec.Passes()),
-	})
+	run := pl.run
+	var gathered, workers string // the per-pass gather and broadcast details
+	if pl.sink != nil {
+		gathered = fmt.Sprintf("%d reduction objects", run.Compute-1)
+		workers = fmt.Sprintf("%d workers", run.Compute-1)
+		pl.sink.Emit(Event{
+			At: pl.exec.Now(), Pass: -1, Phase: PhaseRunStart, Node: -1,
+			Detail: fmt.Sprintf("run=%s backend=%s data=%d compute=%d passes=%d",
+				run.Workload, run.Backend, run.Data, run.Compute, run.Passes),
+		})
+	}
 	done := false
-	for pass := 0; pass < pl.exec.Passes() && !done; pass++ {
+	for pass := 0; pass < run.Passes && !done; pass++ {
 		pl.iterations++
 		st, err := pl.exec.LocalReduction(pass)
 		if err != nil {
-			return fmt.Errorf("middleware: %s pass %d local reduction: %w", pl.exec.Backend(), pass, err)
+			return fmt.Errorf("middleware: %s pass %d local reduction: %w", run.Backend, pass, err)
 		}
 		pl.bd.Retrieval += st.Retrieval
 		pl.bd.Delivery += st.Delivery
@@ -223,14 +216,14 @@ func (pl *Pipeline) Run() error {
 
 		gd, err := pl.exec.Gather(pass)
 		if err != nil {
-			return fmt.Errorf("middleware: %s pass %d gather: %w", pl.exec.Backend(), pass, err)
+			return fmt.Errorf("middleware: %s pass %d gather: %w", run.Backend, pass, err)
 		}
 		pl.bd.Gather += gd
-		pl.emitPhase(pass, PhaseGather, gd, fmt.Sprintf("%d reduction objects", c-1))
+		pl.emitPhase(pass, PhaseGather, gd, gathered)
 
 		gl, d, err := pl.exec.GlobalReduce(pass)
 		if err != nil {
-			return fmt.Errorf("middleware: %s pass %d global reduce: %w", pl.exec.Backend(), pass, err)
+			return fmt.Errorf("middleware: %s pass %d global reduce: %w", run.Backend, pass, err)
 		}
 		done = d
 		pl.bd.Global += gl
@@ -238,7 +231,7 @@ func (pl *Pipeline) Run() error {
 
 		sy, err := pl.exec.Sync(pass)
 		if err != nil {
-			return fmt.Errorf("middleware: %s pass %d sync: %w", pl.exec.Backend(), pass, err)
+			return fmt.Errorf("middleware: %s pass %d sync: %w", run.Backend, pass, err)
 		}
 		pl.bd.Sync += sy
 		if sy > 0 {
@@ -247,21 +240,20 @@ func (pl *Pipeline) Run() error {
 
 		bc, err := pl.exec.Broadcast(pass, done)
 		if err != nil {
-			return fmt.Errorf("middleware: %s pass %d broadcast: %w", pl.exec.Backend(), pass, err)
+			return fmt.Errorf("middleware: %s pass %d broadcast: %w", run.Backend, pass, err)
 		}
 		pl.bd.Broadcast += bc
-		pl.emitPhase(pass, PhaseBroadcast, bc, fmt.Sprintf("%d workers", c-1))
+		pl.emitPhase(pass, PhaseBroadcast, bc, workers)
 	}
 	mwRuns.Inc()
 	mwRetries.Add(float64(pl.bd.Retries))
 	mwRecoverySeconds.Add(pl.bd.Recovery.Seconds())
-	endDetail := fmt.Sprintf("run=%s passes=%d makespan=%v", pl.exec.Workload(), pl.iterations, pl.exec.Now())
-	if pl.bd.Retries > 0 || pl.bd.Recovery > 0 {
-		endDetail += fmt.Sprintf(" retries=%d recovery=%v", pl.bd.Retries, pl.bd.Recovery)
+	if pl.sink != nil {
+		detail := fmt.Sprintf("run=%s passes=%d makespan=%v", run.Workload, pl.iterations, pl.exec.Now())
+		if pl.bd.Retries > 0 || pl.bd.Recovery > 0 {
+			detail += fmt.Sprintf(" retries=%d recovery=%v", pl.bd.Retries, pl.bd.Recovery)
+		}
+		pl.sink.Emit(Event{At: pl.exec.Now(), Pass: -1, Phase: PhaseRunEnd, Node: -1, Detail: detail})
 	}
-	pl.emit(Event{
-		At: pl.exec.Now(), Pass: -1, Phase: PhaseRunEnd, Node: -1,
-		Detail: endDetail,
-	})
 	return nil
 }

@@ -8,6 +8,17 @@ import (
 	"freerideg/internal/simgrid"
 )
 
+// The middleware's failure handling: a chunk delivery that fails
+// maxRetries+1 times aborts the run, the delay before a retry starts at
+// retryBackoff and doubles with every further attempt, and the master
+// declares a silent compute node dead (re-dealing its chunks to the
+// survivors) detectTimeout after it goes silent.
+const (
+	maxRetries    = 5
+	retryBackoff  = 40 * time.Millisecond
+	detectTimeout = 250 * time.Millisecond
+)
+
 // cacheTier is a step's source when the compute node reads the chunk
 // from its own caching tier instead of a storage node.
 const cacheTier = -1
@@ -71,58 +82,100 @@ type runPlan struct {
 }
 
 // newRunPlan builds the plan for n storage nodes and the compute nodes of
-// base (each one's fault-free chunk list in delivery order). A crashing
-// node's crash-pass list is its would-be assignment given the nodes dead
-// before it; it completes the plan's prefix of that list, and the whole
-// list is what its crash re-deals.
+// base (each one's fault-free chunk list in delivery order). Faults
+// addressing nodes the run does not have are dropped, so one plan replays
+// across differently sized configurations, and a node's crashes collapse
+// to the earliest (pass, chunk). A node crashing in pass p loses its
+// partial work for p, so it counts as dead from p on: every pass where a
+// node is dead re-deals the dead nodes' base lists onto the survivors
+// (reassignDead), and a plan leaving no node alive is an error. A
+// crashing node's crash-pass list is its would-be assignment given the
+// nodes dead before it; it completes the plan's prefix of that list, and
+// the whole list is what its crash re-deals.
 func newRunPlan(faults *simgrid.FaultPlan, base [][]adr.Chunk, n, passes int) (runPlan, error) {
 	c := len(base)
-	sched := newFaultSchedule(faults, n, c)
-	work, err := passAssignments(base, sched, passes)
-	if err != nil {
-		return runPlan{}, err
-	}
-	pl := runPlan{work: work}
-	if sched != nil {
-		pl.crashes = make([]crash, c)
+	pl := runPlan{work: make([][][]adr.Chunk, passes)}
+	var cut []int // per compute node: the chunks it completes in its crash pass
+	var disk, link []faultFeed
+	if faults != nil && !faults.Empty() {
+		pl.crashes, cut = make([]crash, c), make([]int, c)
+		disk, link = make([]faultFeed, n), make([]faultFeed, n)
 		for j := range pl.crashes {
-			cp, ck, ok := sched.crashPoint(j)
-			if !ok || cp >= passes {
-				pl.crashes[j].pass = -1
-				continue
-			}
-			wouldBe := base[j]
-			if cp > 0 {
-				wouldBe = work[cp-1][j]
-			}
-			// work[cp] is the crash pass's own re-deal, so it is not shared.
-			work[cp][j] = wouldBe[:min(ck, len(wouldBe))]
-			survivors := 0
-			for _, a := range sched.aliveAt(cp) {
-				if a {
-					survivors++
-				}
-			}
-			pl.crashes[j] = crash{cp, fmt.Sprintf("node %d down, %d chunks re-dealt to %d survivors",
-				j, len(wouldBe), survivors)}
+			pl.crashes[j].pass = -1
 		}
-		pl.planSteps(sched, n)
+		faulted := false
+		for _, f := range faults.Faults {
+			switch {
+			case f.Kind == simgrid.FaultCrash && f.Node < c:
+				// A crash after the run's last pass never happens.
+				cr := &pl.crashes[f.Node]
+				earlier := cr.pass == -1 || f.Pass < cr.pass || f.Pass == cr.pass && f.Chunk < cut[f.Node]
+				if f.Pass < passes && earlier {
+					cr.pass, cut[f.Node] = f.Pass, f.Chunk
+				}
+			case f.Kind == simgrid.FaultSlowDisk && f.Node < n:
+				disk[f.Node].faults = append(disk[f.Node].faults, f)
+			case f.Kind == simgrid.FaultFlakyLink && f.Node < n:
+				link[f.Node].faults = append(link[f.Node].faults, f)
+			default:
+				continue // a node the run does not have
+			}
+			faulted = true
+		}
+		if !faulted {
+			pl.crashes = nil
+		}
 	}
-	for _, w := range work[0] {
+	alive := make([]bool, len(pl.crashes))
+	for pass := range pl.work {
+		pl.work[pass] = base
+		dead := false
+		for j, cr := range pl.crashes {
+			alive[j] = cr.pass == -1 || cr.pass > pass
+			dead = dead || !alive[j]
+		}
+		if dead {
+			work, err := reassignDead(base, alive)
+			if err != nil {
+				return runPlan{}, fmt.Errorf("middleware: pass %d: %w", pass, err)
+			}
+			pl.work[pass] = work
+		}
+	}
+	for j, cr := range pl.crashes {
+		if cr.pass == -1 {
+			continue
+		}
+		wouldBe := base[j]
+		if cr.pass > 0 {
+			wouldBe = pl.work[cr.pass-1][j]
+		}
+		// work[cr.pass] is the crash pass's own re-deal, so it is not shared.
+		pl.work[cr.pass][j] = wouldBe[:min(cut[j], len(wouldBe))]
+		survivors := 0
+		for _, o := range pl.crashes {
+			if o.pass == -1 || o.pass > cr.pass {
+				survivors++
+			}
+		}
+		pl.crashes[j].failover = fmt.Sprintf("node %d down, %d chunks re-dealt to %d survivors",
+			j, len(wouldBe), survivors)
+	}
+	if pl.crashes != nil {
+		pl.planSteps(disk, link)
+	}
+	for _, w := range pl.work[0] {
 		pl.rounds = max(pl.rounds, len(w))
 	}
 	return pl, nil
 }
 
-// planSteps details every pass's work for the n storage nodes: a chunk
-// is read from the caching tier when the node reduced it live in an
-// earlier pass and fetched from its home otherwise, and each live fetch
-// gets its delivery attempts by the ordinal rule.
-func (pl *runPlan) planSteps(sched *faultSchedule, n int) {
-	disk, link := make([]faultFeed, n), make([]faultFeed, n)
-	for i := range disk {
-		disk[i].faults, link[i].faults = sched.disk[i], sched.link[i]
-	}
+// planSteps details every pass's work for the storage nodes of the fault
+// feeds: a chunk is read from the caching tier when the node reduced it
+// live in an earlier pass and fetched from its home otherwise, and each
+// live fetch gets its delivery attempts by the ordinal rule.
+func (pl *runPlan) planSteps(disk, link []faultFeed) {
+	n := len(disk)
 	cached := make([]map[int]bool, len(pl.crashes))
 	for j := range cached {
 		cached[j] = make(map[int]bool)
@@ -171,6 +224,46 @@ func (pl *runPlan) planSteps(sched *faultSchedule, n int) {
 			}
 		})
 	}
+}
+
+// faultFeed consumes one storage node's scheduled faults (of one kind)
+// in plan order as the run plan's delivery attempts flow past. A fault
+// activates when the attempt's (pass, ordinal) reaches its (Pass, Chunk)
+// trigger and then applies to the next Count attempts (Count = 0: every
+// remaining attempt). Feeds are stateful and belong to one plan build.
+type faultFeed struct {
+	faults []simgrid.Fault
+	cur    int
+	left   int
+	active bool
+}
+
+// next consults the feed for the attempt at (pass, ordinal): it returns
+// the governing fault, whether this is the fault's first application
+// (for onset events), and whether any fault applies. Counted faults
+// consume one unit per applying attempt.
+func (ff *faultFeed) next(pass, ordinal int) (f simgrid.Fault, fresh, hit bool) {
+	if ff.cur >= len(ff.faults) {
+		return simgrid.Fault{}, false, false
+	}
+	f = ff.faults[ff.cur]
+	if !ff.active {
+		if pass < f.Pass || (pass == f.Pass && ordinal < f.Chunk) {
+			return simgrid.Fault{}, false, false
+		}
+		ff.active = true
+		ff.left = f.Count
+		fresh = true
+	}
+	if f.Count == 0 { // unbounded: degrades every remaining attempt
+		return f, fresh, true
+	}
+	ff.left--
+	if ff.left <= 0 {
+		ff.cur++
+		ff.active = false
+	}
+	return f, fresh, true
 }
 
 // source returns where compute node j reads ch, its k-th chunk of pass:

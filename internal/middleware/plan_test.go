@@ -37,6 +37,74 @@ func incidents(col *Collector) []incident {
 	return out
 }
 
+// protoStep is one protocol event of a trace, without its timing.
+type protoStep struct {
+	Pass  int
+	Phase Phase
+	Node  int
+}
+
+// skeleton lists a trace's protocol events in emission order, without
+// the incidents and without the sync phase, which only the simulator
+// charges.
+func skeleton(col *Collector) []protoStep {
+	var out []protoStep
+	for _, ev := range col.Events() {
+		switch ev.Phase {
+		case PhaseSync, PhaseFault, PhaseRetry, PhaseFailover:
+		default:
+			out = append(out, protoStep{ev.Pass, ev.Phase, ev.Node})
+		}
+	}
+	return out
+}
+
+// Structure comes for free: both backends run one pipeline over one run
+// plan, so at every node shape of the goroutine backend and under
+// generated fault plans they emit the same phase skeleton, failover
+// re-fetch passes included, and the same incidents.
+func TestBackendsShareSkeletonAndIncidents(t *testing.T) {
+	spec := localSpec("points")
+	a, _ := apps.Get("kmeans")
+	cost, err := a.Cost(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refetches := 0 // runs with a failover re-fetch pass
+	for _, shape := range localShapes {
+		t.Run(shape.String(), func(t *testing.T) {
+			for _, seed := range []int64{3, 7, 11} {
+				plan := simgrid.GenerateFaultPlan(seed, shape.data, shape.compute, cost.Iterations)
+				simCol, localCol := NewCollector(), NewCollector()
+				_, simErr := testGrid(t).SimulateOpts(cost, spec, config(shape.data, shape.compute, spec.TotalBytes),
+					SimOptions{Faults: &plan, Trace: simCol})
+				opts := shape.opts()
+				opts.Faults, opts.Trace = &plan, localCol
+				_, localErr := RunLocalOpts(kmeansKernel(t, spec), spec, shape.data, shape.compute, opts)
+				if simErr != nil || localErr != nil {
+					t.Fatalf("seed %d (%v): sim err %v, local err %v", seed, plan, simErr, localErr)
+				}
+				s, l := skeleton(simCol), skeleton(localCol)
+				if !reflect.DeepEqual(s, l) {
+					t.Errorf("seed %d (%v): phase skeletons differ\nsim:   %v\nlocal: %v", seed, plan, s, l)
+				}
+				for _, st := range s {
+					if st.Pass > 0 && st.Phase == PhaseDelivery {
+						refetches++
+						break
+					}
+				}
+				if si, li := incidents(simCol), incidents(localCol); !reflect.DeepEqual(si, li) {
+					t.Errorf("seed %d (%v): incidents differ\nsim:   %v\nlocal: %v", seed, plan, si, li)
+				}
+			}
+		})
+	}
+	if refetches == 0 {
+		t.Error("no run re-fetched a chunk after a failover")
+	}
+}
+
 // One fault plan means the same thing on both backends: both interpret
 // the same run plan, so they spend a storage node's fault ordinals alike.
 // At 1-2 a flaky link dropping six deliveries takes all six from chunk 0,

@@ -208,7 +208,7 @@ func (g *Grid) simulateOpts(cost reduction.CostModel, spec adr.DatasetSpec, cfg 
 	if err != nil {
 		return SimResult{}, nil, err
 	}
-	pl := NewPipeline(ex, opts.Trace)
+	pl := NewPipeline(ex, RunInfo{"sim", cost.Name, ex.n, ex.c, ex.passes}, opts.Trace)
 	ex.eng.Spawn("master", func(p *simgrid.Proc) {
 		ex.p = p
 		if err := pl.Run(); err != nil {
@@ -258,7 +258,11 @@ type simExecutor struct {
 	gatherMsg     time.Duration
 	bcastMsg      time.Duration
 	globalPerPass time.Duration
-	treeRounds    int
+	// tree is the TreeGather ablation on more than one compute node:
+	// gather and broadcast take treeRounds combining-tree rounds instead
+	// of the paper's serialized transfers at the master.
+	tree       bool
+	treeRounds int
 
 	// The run's price table: each chunk's jittered base disk read, by
 	// chunk index, and the processing and send time of the dataset's
@@ -280,12 +284,6 @@ type simExecutor struct {
 	roundBarr   *simgrid.Barrier
 	passBarrier *simgrid.Barrier
 	books       []passBook // per pass: what the workers did in it, read by LocalReduction
-
-	// gatherStage/broadcastStage are the pluggable ablation stages:
-	// serialized master gather/broadcast (the paper's protocol) or the
-	// combining-tree variant.
-	gatherStage    func() time.Duration
-	broadcastStage func(pass int) time.Duration
 }
 
 // passBook is one pass's accounting, one slot per node. Work is booked
@@ -328,6 +326,7 @@ func newSimExecutor(cluster ClusterSpec, cost reduction.CostModel, cfg core.Conf
 		bandwidth:     cfg.Bandwidth,
 		roBytes:       cost.ROBytesPerNode(totalElems, c),
 		globalPerPass: time.Duration(cost.GlobalOps(totalElems, c)) * cluster.GlobalValueCost,
+		tree:          opts.TreeGather && c > 1,
 	}
 	ex.gatherMsg = cluster.ICMessageTime(ex.roBytes)
 	ex.bcastMsg = cluster.ICMessageTime(cost.BroadcastBytes)
@@ -384,14 +383,6 @@ func newSimExecutor(cluster ClusterSpec, cost reduction.CostModel, cfg core.Conf
 	servers, nodes := make([]serverBook, ex.passes*n), make([]nodeBook, ex.passes*c)
 	for p := range ex.books {
 		ex.books[p] = passBook{servers: servers[p*n : (p+1)*n], nodes: nodes[p*c : (p+1)*c]}
-	}
-
-	if opts.TreeGather && c > 1 {
-		ex.gatherStage = ex.treeGather
-		ex.broadcastStage = ex.treeBroadcast
-	} else {
-		ex.gatherStage = ex.serialGather
-		ex.broadcastStage = ex.serialBroadcast
 	}
 	return ex, nil
 }
@@ -518,7 +509,7 @@ func (ex *simExecutor) worker(p *simgrid.Proc, j int) {
 			// over the interconnect, or as part of a combining tree under
 			// the ablation option. Crashed nodes have no object: they keep
 			// the gather rendezvous count intact but pay no interconnect.
-			if !ex.opts.TreeGather && !crashing && !dead {
+			if !ex.tree && !crashing && !dead {
 				q.hold(ex.ic, ex.gatherMsg)
 			}
 			q.run()
@@ -695,18 +686,6 @@ func (ex *simExecutor) emitEv(q *script, pass int, ph Phase, node int, dur time.
 	}
 }
 
-// Backend implements Executor.
-func (ex *simExecutor) Backend() string { return "sim" }
-
-// Workload implements Executor.
-func (ex *simExecutor) Workload() string { return ex.cost.Name }
-
-// Nodes implements Executor.
-func (ex *simExecutor) Nodes() (int, int) { return ex.n, ex.c }
-
-// Passes implements Executor.
-func (ex *simExecutor) Passes() int { return ex.passes }
-
 // Now implements Executor (virtual time).
 func (ex *simExecutor) Now() time.Duration { return ex.eng.Now() }
 
@@ -714,9 +693,9 @@ func (ex *simExecutor) Now() time.Duration { return ex.eng.Now() }
 // and reports the pass's book: each busy time the maximum over nodes per
 // the paper's accounting, recovery overhead and retries summed over
 // nodes (total overhead, not a critical path).
-func (ex *simExecutor) LocalReduction(pass int) (PassStats, error) {
+func (ex *simExecutor) LocalReduction(pass int) (PhaseBreakdown, error) {
 	ex.p.Get(ex.readyBox) // posted by worker 0 at pass-barrier release
-	var st PassStats
+	var st PhaseBreakdown
 	for _, s := range ex.books[pass].servers {
 		st.Retrieval = max(st.Retrieval, s.disk)
 		st.Delivery = max(st.Delivery, s.net)
@@ -730,27 +709,20 @@ func (ex *simExecutor) LocalReduction(pass int) (PassStats, error) {
 	return st, nil
 }
 
-// Gather implements Executor via the configured gather stage.
-func (ex *simExecutor) Gather(int) (time.Duration, error) { return ex.gatherStage(), nil }
-
-// serialGather awaits the c-1 serialized object transfers (the workers
-// pay the interconnect cost; the stage reports the busy-time delta).
-func (ex *simExecutor) serialGather() time.Duration {
+// Gather awaits the c-1 reduction objects. Serialized, the workers pay
+// the interconnect and the stage reports its busy-time delta; the
+// combining tree charges its rounds at the master.
+func (ex *simExecutor) Gather(int) (time.Duration, error) {
 	busy0 := ex.ic.BusyTime()
 	for w := 1; w < ex.c; w++ {
 		ex.p.Get(ex.gatherBox)
 	}
-	return ex.ic.BusyTime() - busy0
-}
-
-// treeGather models ceil(log2 c) parallel combining rounds.
-func (ex *simExecutor) treeGather() time.Duration {
-	for w := 1; w < ex.c; w++ {
-		ex.p.Get(ex.gatherBox)
+	if !ex.tree {
+		return ex.ic.BusyTime() - busy0, nil
 	}
 	d := time.Duration(ex.treeRounds) * ex.gatherMsg
 	ex.p.Wait(d)
-	return d
+	return d, nil
 }
 
 // GlobalReduce charges the master's per-pass global reduction. The
@@ -767,30 +739,24 @@ func (ex *simExecutor) Sync(int) (time.Duration, error) {
 	return ex.cluster.IterSync, nil
 }
 
-// Broadcast implements Executor via the configured broadcast stage.
+// Broadcast re-distributes the result to every worker, serialized over
+// the interconnect at the master or through the combining tree, then
+// releases node 0 into the next pass.
 func (ex *simExecutor) Broadcast(pass int, _ bool) (time.Duration, error) {
-	return ex.broadcastStage(pass), nil
-}
-
-// serialBroadcast sends the result to each worker over the interconnect,
-// serialized at the master, then releases node 0 into the next pass.
-func (ex *simExecutor) serialBroadcast(pass int) time.Duration {
+	d := time.Duration(ex.treeRounds) * ex.bcastMsg
+	if ex.tree {
+		ex.p.Wait(d)
+	}
 	busy0 := ex.ic.BusyTime()
 	for w := 1; w < ex.c; w++ {
-		ex.p.Use(ex.ic, ex.bcastMsg)
+		if !ex.tree {
+			ex.p.Use(ex.ic, ex.bcastMsg)
+		}
 		ex.bcastBox[w].Put(pass)
 	}
 	ex.bcastBox[0].Put(pass)
-	return ex.ic.BusyTime() - busy0
-}
-
-// treeBroadcast re-distributes the result through the combining tree.
-func (ex *simExecutor) treeBroadcast(pass int) time.Duration {
-	d := time.Duration(ex.treeRounds) * ex.bcastMsg
-	ex.p.Wait(d)
-	for w := 1; w < ex.c; w++ {
-		ex.bcastBox[w].Put(pass)
+	if !ex.tree {
+		d = ex.ic.BusyTime() - busy0
 	}
-	ex.bcastBox[0].Put(pass)
-	return d
+	return d, nil
 }

@@ -207,16 +207,21 @@ func (c *Collector) PhaseTotal(ph Phase) time.Duration {
 	return c.totals[ph]
 }
 
-// Breakdown folds the per-phase sums into the paper's three components.
-// For any single traced run this equals the returned Profile's breakdown
-// (the t_d + t_n + t_c additivity of Section 6).
+// Breakdown folds the per-phase sums into the paper's three components
+// through PhaseBreakdown's mapping. For any single traced run this equals
+// the returned Profile's breakdown (the t_d + t_n + t_c additivity of
+// Section 6).
 func (c *Collector) Breakdown() core.Breakdown {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return core.Breakdown{
-		Tdisk:    c.totals[PhaseRetrieval] + c.totals[PhaseCachedFetch],
-		Tnetwork: c.totals[PhaseDelivery],
-		Tcompute: c.totals[PhaseLocalReduce] + c.totals[PhaseGather] +
-			c.totals[PhaseGlobalReduce] + c.totals[PhaseSync] + c.totals[PhaseBroadcast],
-	}
+	return PhaseBreakdown{
+		Retrieval:   c.totals[PhaseRetrieval],
+		Delivery:    c.totals[PhaseDelivery],
+		CachedFetch: c.totals[PhaseCachedFetch],
+		Compute:     c.totals[PhaseLocalReduce],
+		Gather:      c.totals[PhaseGather],
+		Global:      c.totals[PhaseGlobalReduce],
+		Sync:        c.totals[PhaseSync],
+		Broadcast:   c.totals[PhaseBroadcast],
+	}.Breakdown()
 }

@@ -9,12 +9,16 @@
 // instead keeps its workers parked on one channel for the process
 // lifetime and hands them batches:
 //
-//   - Run never blocks waiting for a free worker. The submitting
-//     goroutine always participates in its own batch, and helper
-//     workers are recruited with non-blocking sends — if every worker
-//     is busy, the submitter simply completes the batch alone. This
-//     makes nested Run calls (a batch item that itself fans out a
-//     ranking round) deadlock-free by construction.
+//   - Run never blocks waiting for a free worker to start. The
+//     submitting goroutine always participates in its own batch, and
+//     helper workers are recruited with non-blocking sends — if every
+//     worker is busy, the submitter works through the batch alone. But
+//     a recruiting token that fits in the channel's buffer counts as a
+//     helper at once, and the batch then waits for it to be taken, so
+//     nested Run calls (a batch item that itself fans out a ranking
+//     round) can deadlock when every worker is parked inside an inner
+//     batch. ROADMAP.md's item "A nested workpool.Run can deadlock"
+//     records the hazard and a measured fix.
 //   - Work is claimed by atomic index increments on the shared batch,
 //     so tasks need no per-task allocation and workers load-balance at
 //     task granularity.

@@ -121,10 +121,11 @@ same_predictions "$clitmp/save50.out" "$clitmp/load50.out"
 # Goroutine-backend smoke through its one command-line caller: the
 # seed-7 fault plan's flaky link must force exactly two re-materialized
 # deliveries on a real 2-4 run, and both backends interpret one run plan,
-# so the real run must count the simulated run's retries and failovers.
+# so the real run must print the simulated run's fault, retry and
+# failover lines, up to timing and order.
 incidents() {
-    echo "$(echo "$1" | grep -cE '^t=[^ ]+ +retry ') retries," \
-        "$(echo "$1" | grep -cE '^t=[^ ]+ +failover ') failovers"
+    echo "$1" | grep -E '^t=[^ ]+ +(fault|retry|failover) ' |
+        sed -E 's/^t=[^ ]+ +//; s/ dur=[^ ]+//; s/ +/ /g' | sort
 }
 out=$("$clitmp/fgrun" -app kmeans -size 8MB -local -data 2 -compute 4 -fault-seed 7 -trace)
 sim=$("$clitmp/fgrun" -app kmeans -size 8MB -data 2 -compute 4 -fault-seed 7 -trace)
@@ -133,8 +134,12 @@ if ! echo "$out" | grep -q 'over 2 retried deliver'; then
     echo "$out" >&2
     exit 1
 fi
-if [ "$(incidents "$out")" != "$(incidents "$sim")" ]; then
-    echo "fgrun -local smoke: $(incidents "$out") on -local, $(incidents "$sim") simulated" >&2
+if [ -z "$(incidents "$sim")" ] || [ "$(incidents "$out")" != "$(incidents "$sim")" ]; then
+    echo "fgrun -local smoke: incidents differ from the simulated run's" >&2
+    echo "-local:" >&2
+    incidents "$out" >&2
+    echo "simulated:" >&2
+    incidents "$sim" >&2
     exit 1
 fi
 
