@@ -1,6 +1,7 @@
 package fgservice
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -124,6 +125,54 @@ func FuzzDecodeJSON(f *testing.F) {
 		}
 		if !json.Valid([]byte(body)) {
 			t.Fatalf("decodeJSON accepted a body that is not one valid JSON document: %q", body)
+		}
+	})
+}
+
+// FuzzAppendIndent is the differential oracle for writeJSON's indenter:
+// for any document encoding/json marshals (plus the encoder's trailing
+// newline), appendIndent must write exactly what json.Indent with a
+// two-space indent writes. The fuzzed string lands in values and keys,
+// next to empty and nested objects and arrays, numbers, booleans and
+// null; depth nests the document past the indenter's cached indents.
+func FuzzAppendIndent(f *testing.F) {
+	f.Add("plain", 1.5, int64(-3), uint8(2), true)
+	f.Add(`say "hi", then {x: [1]} \ \"`, 0.0, int64(0), uint8(0), false)
+	f.Add("<script>&amp;</script>", -1e300, int64(math.MaxInt64), uint8(5), true)
+	f.Add("line\u2028sep\u2029 and \n\t\x00 ctl", 1e-7, int64(math.MinInt64), uint8(1), false)
+	f.Add("\xff\xfe invalid \xc3 utf-8", 123456789.0, int64(42), uint8(19), true)
+	f.Add(`{"a":[1,2],"b":{}}`, 1e21, int64(7), uint8(40), false)
+	f.Add(`\`, -0.0, int64(1), uint8(3), true)
+	f.Add("", 0.5, int64(-1), uint8(0), true)
+	f.Fuzz(func(t *testing.T, s string, x float64, n int64, depth uint8, empty bool) {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			x = 0 // encoding/json refuses non-finite numbers
+		}
+		var inner any = []any{s, x, n, nil, true, false, map[string]any{}, []any{}}
+		if empty {
+			inner = map[string]any{}
+		}
+		for i := 0; i < int(depth%48); i++ {
+			if i%2 == 0 {
+				inner = map[string]any{s: inner, "e": []any{}, "n": nil}
+			} else {
+				inner = []any{inner, map[string]any{}, x}
+			}
+		}
+		doc := map[string]any{"s": s, s: x, "v": inner, "o": map[string]any{s: []any{s}}}
+		for _, v := range []any{doc, s, x, n, nil, []any{}, map[string]any{}} {
+			src, err := json.Marshal(v)
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			src = append(src, '\n')
+			var want bytes.Buffer
+			if err := json.Indent(&want, src, "", "  "); err != nil {
+				t.Fatalf("json.Indent: %v", err)
+			}
+			if got := appendIndent(nil, src); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("appendIndent(%q):\n%s\njson.Indent:\n%s", src, got, want.Bytes())
+			}
 		}
 	})
 }

@@ -262,27 +262,28 @@ type apiError struct {
 var encodeFailures = metrics.GetCounter("fg_http_encode_failures_total",
 	"Responses dropped because JSON encoding of the response value failed.")
 
-// encodeState is one pooled response-rendering unit: a buffer plus an
-// encoder permanently bound to it, so the serve hot path allocates no
-// encoder or buffer per request. States whose buffer ballooned (an
+// encodeState is one pooled response-rendering unit: the compact buffer
+// with an encoder permanently bound to it, and the indented body the
+// response is written from, so the serve hot path allocates no encoder
+// or buffer per request. States where either buffer ballooned (an
 // unusually large ranking) are not returned to the pool.
 type encodeState struct {
 	buf bytes.Buffer
 	enc *json.Encoder
+	out []byte
 }
 
 var encodeStates = sync.Pool{New: func() any {
 	st := new(encodeState)
-	// Encoder+SetIndent (not MarshalIndent) keeps the historical wire
-	// bytes: two-space indent and a trailing newline.
 	st.enc = json.NewEncoder(&st.buf)
-	st.enc.SetIndent("", "  ")
 	return st
 }}
 
 const maxPooledEncodeBuf = 64 << 10
 
-// writeJSON renders v into a pooled buffer, writes it with a correct
+// writeJSON renders v compactly into a pooled buffer, indents that into
+// the state's second buffer (two spaces, trailing newline: the bytes
+// Encoder.SetIndent("", "  ") writes), writes it with a correct
 // Content-Length, and returns the status written. Encoding errors are
 // counted and turn into a 500 error envelope instead of being silently
 // dropped mid-stream — possible because nothing has been written to w
@@ -290,23 +291,87 @@ const maxPooledEncodeBuf = 64 << 10
 func writeJSON(w http.ResponseWriter, status int, v any) int {
 	st := encodeStates.Get().(*encodeState)
 	defer func() {
-		if st.buf.Cap() <= maxPooledEncodeBuf {
+		if st.buf.Cap() <= maxPooledEncodeBuf && cap(st.out) <= maxPooledEncodeBuf {
 			encodeStates.Put(st)
 		}
 	}()
 	st.buf.Reset()
 	if err := st.enc.Encode(v); err != nil {
 		encodeFailures.Inc()
-		st.buf.Reset()
-		fmt.Fprintf(&st.buf, "{\n  \"error\": %q,\n  \"status\": 500\n}\n",
+		// Already indented: it must not pass through appendIndent.
+		st.out = fmt.Appendf(st.out[:0], "{\n  \"error\": %q,\n  \"status\": 500\n}\n",
 			"encoding response: "+err.Error())
 		status = http.StatusInternalServerError
+	} else {
+		st.out = appendIndent(st.out[:0], st.buf.Bytes())
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(st.buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(st.out)))
 	w.WriteHeader(status)
-	_, _ = w.Write(st.buf.Bytes())
+	_, _ = w.Write(st.out)
 	return status
+}
+
+// appendIndent appends src indented as json.Indent(dst, src, "", "  ")
+// would, in one pass and without a scanner: src must be the valid,
+// compact output of encoding/json, which holds no whitespace outside
+// string literals except its trailing newline. String literals are
+// copied verbatim; only the structural bytes outside them add
+// whitespace, and an empty {} or [] stays on one line.
+func appendIndent(dst, src []byte) []byte {
+	depth, start := 0, 0 // src[start:i] is copied verbatim when flushed
+	for i := 0; i < len(src); i++ {
+		if !jsonPunct[src[i]] {
+			continue
+		}
+		switch src[i] {
+		case '"':
+			for i++; i < len(src) && src[i] != '"'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				i++
+				continue
+			}
+			depth++
+			dst = appendNewline(append(dst, src[start:i+1]...), depth)
+			start = i + 1
+		case '}', ']':
+			depth--
+			dst = appendNewline(append(dst, src[start:i]...), depth)
+			start = i
+		case ',':
+			dst = appendNewline(append(dst, src[start:i+1]...), depth)
+			start = i + 1
+		case ':':
+			dst = append(append(dst, src[start:i+1]...), ' ')
+			start = i + 1
+		}
+	}
+	return append(dst, src[start:]...)
+}
+
+// jsonPunct marks the bytes appendIndent acts on, so every other byte
+// costs one table load instead of the switch's comparisons.
+var jsonPunct = [256]bool{'"': true, '{': true, '[': true, '}': true, ']': true, ',': true, ':': true}
+
+// newlineIndent is a newline and the indent of depth 16, sliced for
+// any depth up to that.
+const newlineIndent = "\n                                "
+
+// appendNewline appends a newline and two spaces per level of depth.
+func appendNewline(dst []byte, depth int) []byte {
+	if n := 1 + 2*depth; n <= len(newlineIndent) {
+		return append(dst, newlineIndent[:n]...)
+	}
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // writeError renders the error envelope and returns the status written.
