@@ -136,7 +136,7 @@ func main() {
 	if *savePath != "" {
 		// Saving through the store layer stamps version metadata, so a
 		// long-running service can pick the file up and keep recalibrating
-		// it; core.LoadStore still reads the same file.
+		// it; -load and fgserved -profiles read it back through profile.Open.
 		st, err := profile.NewStore(core.ProfileStore{
 			Profiles: []core.Profile{baseProfile},
 			Links:    h.Links(),

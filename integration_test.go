@@ -12,6 +12,7 @@ import (
 	"freerideg/internal/core"
 	"freerideg/internal/grid"
 	"freerideg/internal/middleware"
+	"freerideg/internal/profile"
 	"freerideg/internal/stats"
 	"freerideg/internal/units"
 )
@@ -144,19 +145,19 @@ func TestProfileStoreDrivesPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := core.ProfileStore{
+	path := t.TempDir() + "/store.json"
+	opts := profile.Options{Lookup: apps.Model}
+	if _, err := profile.Create(path, core.ProfileStore{
 		Profiles: []core.Profile{base.Profile},
 		Links:    h.Links(),
-	}
-	path := t.TempDir() + "/store.json"
-	if err := core.SaveStore(path, store); err != nil {
+	}, opts); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := core.LoadStore(path)
+	loaded, err := profile.Open(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := core.NewPredictorFromStore(loaded, app, apps.Model(app))
+	pred, err := loaded.Snapshot().Predictor(app, apps.Model(app))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,11 @@
 package core
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-)
+import "fmt"
 
-// ProfileStore is the JSON document exchanged between profiling runs and
+// ProfileStore is the document exchanged between profiling runs and
 // prediction sessions: a set of profiles plus the calibrations and scaling
-// factors needed to use them.
+// factors needed to use them. Its JSON form is the body of the profile
+// file, which profile.Store reads and writes.
 type ProfileStore struct {
 	Profiles []Profile                  `json:"profiles"`
 	Links    map[string]LinkCalibration `json:"links,omitempty"`
@@ -45,51 +41,6 @@ func (s ProfileStore) Find(app string) (Profile, bool) {
 		}
 	}
 	return Profile{}, false
-}
-
-// WriteStore writes a profile store as indented JSON.
-func WriteStore(w io.Writer, s ProfileStore) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadStore parses and validates a profile store.
-func ReadStore(r io.Reader) (ProfileStore, error) {
-	var s ProfileStore
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return ProfileStore{}, fmt.Errorf("core: decoding profile store: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return ProfileStore{}, err
-	}
-	return s, nil
-}
-
-// SaveStore writes a profile store to a file.
-func SaveStore(path string, s ProfileStore) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteStore(f, s); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadStore reads a profile store from a file.
-func LoadStore(path string) (ProfileStore, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return ProfileStore{}, err
-	}
-	defer f.Close()
-	return ReadStore(f)
 }
 
 // NewPredictorFromStore builds a predictor for one application from a

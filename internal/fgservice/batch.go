@@ -77,15 +77,15 @@ func itemError(err error) *apiError {
 }
 
 // batchOf lifts a singular endpoint function to its batch form. Items
-// are claimed in index order by at most Options.BatchParallelism
-// workers; once ctx ends no further item is claimed. A batch that ctx
-// left with an unanswered item — never claimed, or given up on
-// mid-evaluation — fails as a whole with the ctx error, which endpoint
-// answers as the request's 499/504 envelope like any other cut-short
-// request. The positional response still comes back beside that error,
-// every item the batch never evaluated marked with a distinct per-item
-// 499 (departed client) or 504 (exhausted deadline), so a caller looking
-// at a partial batch never sees items that silently look like empty
+// are claimed in index order by at most s.batchParallelism workers;
+// once ctx ends no further item is claimed. A batch that ctx left with
+// an unanswered item — never claimed, or given up on mid-evaluation —
+// fails as a whole with the ctx error, which endpoint answers as the
+// request's 499/504 envelope like any other cut-short request. The
+// positional response still comes back beside that error, every item
+// the batch never evaluated marked with a distinct per-item 499
+// (departed client) or 504 (exhausted deadline), so a caller looking at
+// a partial batch never sees items that silently look like empty
 // successes. A batch whose every item completed succeeds even if ctx
 // ended meanwhile.
 func batchOf[Req, Resp any](s *Server, one func(context.Context, *Req) (Resp, error)) func(context.Context, *BatchRequest[Req]) (BatchResponse[Resp], error) {
@@ -105,7 +105,7 @@ func batchOf[Req, Resp any](s *Server, one func(context.Context, *Req) (Resp, er
 			Items:        make([]BatchItem[Resp], n),
 		}
 		// A cut-short run shows below as ctx.Err() and unevaluated items.
-		_ = s.batchPool.RunCtx(ctx, n, s.opts.BatchParallelism, func(i int) {
+		_ = s.batchPool.RunCtx(ctx, n, s.batchParallelism, func(i int) {
 			item := &resp.Items[i]
 			// The item's own spans (cache, rank, simulate) nest under its
 			// "item" span, annotated with the positional index and the

@@ -204,16 +204,16 @@ func TestCutShortBatchAnswersEnvelope(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(Options{
-				Store:            testStore(t),
-				MaxInFlight:      4,
-				BatchParallelism: 1,
-				DisableCache:     true,
-				BaseBytes:        8 * units.MB,
-				RequestTimeout:   tc.timeout,
+				Store:          testStore(t),
+				MaxInFlight:    4,
+				DisableCache:   true,
+				BaseBytes:      8 * units.MB,
+				RequestTimeout: tc.timeout,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.batchParallelism = 1
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			release := make(chan struct{})

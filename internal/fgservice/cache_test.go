@@ -312,10 +312,6 @@ func profileObservation(base core.Profile, cfg core.Config, scale float64) profi
 	}
 }
 
-func profileStoreForBench(doc core.ProfileStore) (*profile.Store, error) {
-	return profile.NewStore(doc, profile.Options{Lookup: AppModelLookup})
-}
-
 func predictResponseOf(t *testing.T, h http.Handler, body string) PredictResponse {
 	t.Helper()
 	rec := postJSON(t, h, "/predict", body)
@@ -333,11 +329,7 @@ func predictResponseOf(t *testing.T, h http.Handler, body string) PredictRespons
 // overwritten.
 func benchServer(b *testing.B, opts Options) *Server {
 	b.Helper()
-	doc, err := core.LoadStore("testdata/store.json")
-	if err != nil {
-		b.Fatal(err)
-	}
-	store, err := profileStoreForBench(doc)
+	store, err := profile.Open("testdata/store.json", profile.Options{Lookup: AppModelLookup})
 	if err != nil {
 		b.Fatal(err)
 	}

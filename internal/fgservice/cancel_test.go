@@ -141,15 +141,15 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 // than ride along as a silent empty success.
 func TestBatchCancelStopsClaiming(t *testing.T) {
 	s, err := New(Options{
-		Store:            testStore(t),
-		MaxInFlight:      4,
-		BatchParallelism: 1,
-		DisableCache:     true,
-		BaseBytes:        8 * units.MB,
+		Store:        testStore(t),
+		MaxInFlight:  4,
+		DisableCache: true,
+		BaseBytes:    8 * units.MB,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.batchParallelism = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var sims atomic.Int32

@@ -20,10 +20,11 @@ import (
 // recalibrates, and /predict, /profiles, and /healthz all reflect the
 // corrected, version-advanced profile.
 func TestRunsEndpointClosesTheLoop(t *testing.T) {
-	truthDoc, err := core.LoadStore(filepath.Join("testdata", "store.json"))
+	truthStore, err := profile.Open(filepath.Join("testdata", "store.json"), profile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	truthDoc := truthStore.Snapshot().Doc()
 	truth, err := core.NewPredictorFromStore(truthDoc, "kmeans", AppModelLookup("kmeans"))
 	if err != nil {
 		t.Fatal(err)

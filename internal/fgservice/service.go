@@ -78,11 +78,6 @@ type Options struct {
 	// MaxInFlight bounds concurrently handled requests (default
 	// 4×GOMAXPROCS); excess requests get 503.
 	MaxInFlight int
-	// BatchParallelism bounds how many items of one batch request are
-	// evaluated concurrently (0 = the batch pool's full width). Tests pin
-	// it to 1 so item claiming is strictly serial and a mid-batch
-	// cancellation cuts the batch at a deterministic point.
-	BatchParallelism int
 	// RequestTimeout bounds one request's handling time (default 30s).
 	RequestTimeout time.Duration
 	// DisableCache turns the /select response cache off: every request
@@ -152,7 +147,12 @@ type Server struct {
 	selSvcs map[string]*selService
 
 	// batchPool fans batch-endpoint items across persistent workers.
-	batchPool *workpool.Pool
+	// batchParallelism bounds how many items of one batch are evaluated
+	// concurrently (0 = the pool's full width); tests set it to 1 after
+	// New so item claiming is strictly serial and a mid-batch
+	// cancellation cuts the batch at a deterministic point.
+	batchPool        *workpool.Pool
+	batchParallelism int
 
 	// selectCache is the /select response cache, keyed by the rendered
 	// request and pinned to the pair (store snapshot version, estEpoch).
@@ -268,15 +268,9 @@ func (s *Server) CacheStats() (predict, sel servecache.Stats) {
 // work here and can tell an orderly drain from a crash.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // AppModelLookup resolves an application's scaling-class model from the
 // registry, the Lookup hook a service-facing profile.Store should use.
 func AppModelLookup(name string) core.AppModel { return apps.Model(name) }
-
-// Estimator exposes the live bandwidth estimator (the /observe sink).
-func (s *Server) Estimator() *grid.BandwidthEstimator { return s.est }
 
 // Store exposes the live profile store behind the handlers.
 func (s *Server) Store() *profile.Store { return s.store }

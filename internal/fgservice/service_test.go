@@ -32,13 +32,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // the simulator changes.
 func testStore(t *testing.T) *profile.Store {
 	t.Helper()
-	doc, err := core.LoadStore(filepath.Join("testdata", "store.json"))
+	store, err := profile.Open(filepath.Join("testdata", "store.json"), profile.Options{Lookup: AppModelLookup})
 	if err != nil {
 		t.Fatalf("loading test store: %v", err)
-	}
-	store, err := profile.NewStore(doc, profile.Options{Lookup: AppModelLookup})
-	if err != nil {
-		t.Fatalf("building test store: %v", err)
 	}
 	return store
 }

@@ -48,10 +48,11 @@ func spanChain(spans []reqtrace.SpanRecord, idx int) []string {
 func TestPredictBatchTraceTree(t *testing.T) {
 	// Empty store: kmeans self-profiles, so the trace includes the
 	// simulate span. Small BaseBytes keeps the profiling run fast.
-	s, err := New(Options{BaseBytes: 8 * units.MB, BatchParallelism: 1})
+	s, err := New(Options{BaseBytes: 8 * units.MB})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.batchParallelism = 1
 	h := s.Handler()
 
 	rec := postJSON(t, h, "/predict/batch", `{"items":[`+goodPredict+`]}`)

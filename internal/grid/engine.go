@@ -11,7 +11,6 @@ import (
 	"freerideg/internal/core"
 	"freerideg/internal/metrics"
 	"freerideg/internal/reqtrace"
-	"freerideg/internal/workpool"
 )
 
 // Rank-engine metrics: how much candidate enumeration and prediction
@@ -28,11 +27,6 @@ var (
 	engineEvictions = metrics.GetCounter("fg_rank_engine_evictions_total",
 		"Candidate tables dropped by the engine's table bound.")
 )
-
-// rankPool is the persistent worker pool shared by every rank engine in
-// the process, replacing the per-call goroutine+channel setup the old
-// Rank used. Workers start lazily on the first parallel round.
-var rankPool = workpool.New(0)
 
 // maxEngineTables bounds one engine's cached candidate tables. The
 // serve path keys tables by (dataset, variant), and datasets arrive
@@ -96,10 +90,11 @@ type rankTable struct {
 //   - nothing changed → serve the cached predictions, allocation-free
 //     except for the caller-owned result slice.
 //
-// Recomputation fans across a persistent bounded worker pool shared by
-// all engines. An engine is safe for concurrent use; rounds for the
-// same (dataset, variant) serialize on the table, rounds for different
-// tables proceed independently.
+// Recomputation runs serially on the calling goroutine: a prediction is
+// microseconds of arithmetic, and the serve plane's concurrency comes
+// from concurrent requests, not from one round. An engine is safe for
+// concurrent use; rounds for the same (dataset, variant) serialize on
+// the table, rounds for different tables proceed independently.
 type RankEngine struct {
 	mu     sync.Mutex
 	tables map[tableKey]*rankTable
@@ -135,11 +130,11 @@ func (e *RankEngine) table(key tableKey) *rankTable {
 // Rank returns the feasible (replica, offer) candidates for dataset
 // sorted by ascending predicted execution time, exactly as a full
 // serial re-evaluation would, but reusing every cached prediction whose
-// inputs did not change since the previous round. parallel bounds the
-// workers recomputing predictions (see Selector.Parallel); the returned
-// slice is owned by the caller.
+// inputs did not change since the previous round. The returned slice is
+// owned by the caller. parallel is ignored: ranking is serial, and the
+// argument stays only because the benchmark module calls Rank with it.
 //
-// ctx is checked between candidate predictions: a canceled round stops
+// ctx is checked before each candidate prediction: a canceled round stops
 // recomputing and returns ctx.Err(). The table stays consistent — every
 // pair whose recomputation was skipped remains marked dirty, so the
 // next round recomputes exactly the predictions this one abandoned.
@@ -217,20 +212,13 @@ func (e *RankEngine) Rank(ctx context.Context, svc *Service, dataset string, pre
 		sp.Annotate(note)
 	}
 
-	if len(t.dirty) > 0 {
-		limit := parallel
-		if len(t.dirty) < minParallelRank {
-			limit = 1
-		}
-		dirty := t.dirty
-		if err := rankPool.RunCtx(ctx, len(dirty), limit, func(j int) {
-			i := dirty[j]
-			p, err := t.pred.Predict(t.pairs[i].Config, variant)
-			t.pairs[i].Prediction, t.errs[i] = p, err
-			t.ok[i] = true
-		}); err != nil {
+	for _, i := range t.dirty {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		p, err := t.pred.Predict(t.pairs[i].Config, variant)
+		t.pairs[i].Prediction, t.errs[i] = p, err
+		t.ok[i] = true
 	}
 
 	out := make([]Candidate, 0, len(t.pairs))

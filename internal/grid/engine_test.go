@@ -3,12 +3,51 @@ package grid
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"freerideg/internal/adr"
 	"freerideg/internal/core"
 	"freerideg/internal/units"
 )
+
+// bigService builds the 48-pair service the engine tests rank: eight
+// replica sites times six compute offers, all feasible.
+func bigService(tb testing.TB) *Service {
+	tb.Helper()
+	svc := NewService()
+	spec := testSpec()
+	layout, err := adr.Partition(spec, 2, adr.RoundRobin)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		site := fmt.Sprintf("site%d", i)
+		if err := svc.Replicas.Register(adr.Replica{Site: site, Cluster: "A", StorageNodes: 2, Layout: layout}); err != nil {
+			tb.Fatal(err)
+		}
+		// Distinct bandwidths so the ranking has a meaningful order.
+		if err := svc.SetBandwidth(site, "A", units.Rate(10+10*i)*units.MBPerSec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, n := range []int{2, 4, 6, 8, 12, 16} {
+		if err := svc.AddOffer(ComputeOffer{Cluster: "A", Nodes: n}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return svc
+}
+
+func bigSelector(tb testing.TB) *Selector {
+	tb.Helper()
+	pred, err := core.NewPredictor(testProfile(), core.AppModel{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pred.Links["A"] = core.LinkCalibration{W: 1e-8, L: 0}
+	return &Selector{Predictor: pred, Variant: core.GlobalReduction}
+}
 
 // rankEqual fails the test unless two rankings are identical in length,
 // order, and every field of every candidate.
@@ -37,7 +76,7 @@ func rankEqual(t *testing.T, label string, got, want []Candidate) {
 // offers, and new replicas.
 func TestEngineMatchesSerialUnderInvalidations(t *testing.T) {
 	svc := bigService(t)
-	sel := bigSelector(t, 0)
+	sel := bigSelector(t)
 	pred := sel.Predictor
 	eng := NewRankEngine()
 
@@ -98,7 +137,7 @@ func TestEngineMatchesSerialUnderInvalidations(t *testing.T) {
 // change on one site recomputes exactly that site's pairs.
 func TestEngineRecomputesOnlyChangedBandwidths(t *testing.T) {
 	svc := bigService(t)
-	sel := bigSelector(t, 1)
+	sel := bigSelector(t)
 	eng := NewRankEngine()
 
 	rank := func() float64 {
@@ -136,7 +175,7 @@ func TestEngineRecomputesOnlyChangedBandwidths(t *testing.T) {
 // different variants do not thrash one shared table.
 func TestEngineTablesAreIndependentPerVariant(t *testing.T) {
 	svc := bigService(t)
-	sel := bigSelector(t, 1)
+	sel := bigSelector(t)
 	eng := NewRankEngine()
 	for _, v := range []core.Variant{core.NoComm, core.ReductionComm, core.GlobalReduction} {
 		if _, err := eng.Rank(context.Background(), svc, "pts", sel.Predictor, v, 1); err != nil {
@@ -194,7 +233,7 @@ func TestEngineErrorCandidatesStayExcluded(t *testing.T) {
 // gates do.
 func TestSelectorRankWarmAllocs(t *testing.T) {
 	svc := bigService(t)
-	sel := bigSelector(t, 1)
+	sel := bigSelector(t)
 	if _, err := sel.Rank(svc, "pts"); err != nil { // warm the table
 		t.Fatal(err)
 	}
@@ -204,8 +243,8 @@ func TestSelectorRankWarmAllocs(t *testing.T) {
 		}
 	})
 	// One allocation for the 48-candidate result slice; everything else
-	// (enumeration, per-pair state, worker fan-out) must be cached or
-	// pooled. The old implementation allocated ~60 objects per round.
+	// (enumeration, per-pair state) must be cached. The old
+	// implementation allocated ~60 objects per round.
 	if perRank > 1.0 {
 		t.Errorf("warm Rank allocates %.1f objects per round, want <= 1 (result slice only)", perRank)
 	}
@@ -218,7 +257,7 @@ func TestSelectorRankWarmAllocs(t *testing.T) {
 func BenchmarkRankIncremental(b *testing.B) {
 	b.Run("steady", func(b *testing.B) {
 		svc := bigService(b)
-		sel := bigSelector(b, 1)
+		sel := bigSelector(b)
 		if _, err := sel.Rank(svc, "pts"); err != nil {
 			b.Fatal(err)
 		}
@@ -232,7 +271,7 @@ func BenchmarkRankIncremental(b *testing.B) {
 	})
 	b.Run("one-path-changed", func(b *testing.B) {
 		svc := bigService(b)
-		sel := bigSelector(b, 1)
+		sel := bigSelector(b)
 		if _, err := sel.Rank(svc, "pts"); err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +290,7 @@ func BenchmarkRankIncremental(b *testing.B) {
 	})
 	b.Run("serial-reference", func(b *testing.B) {
 		svc := bigService(b)
-		sel := bigSelector(b, 1)
+		sel := bigSelector(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -266,7 +305,7 @@ func BenchmarkRankIncremental(b *testing.B) {
 // growing without limit under a hostile dataset-name stream.
 func TestEngineTableBound(t *testing.T) {
 	svc := bigService(t)
-	sel := bigSelector(t, 1)
+	sel := bigSelector(t)
 	spec := testSpec()
 	eng := NewRankEngine()
 	// Register many datasets and rank each once.
@@ -291,4 +330,56 @@ func TestEngineTableBound(t *testing.T) {
 	if n > maxEngineTables {
 		t.Fatalf("engine holds %d tables, want <= %d", n, maxEngineTables)
 	}
+}
+
+// TestRankConcurrentCallers hammers one shared Selector from many
+// goroutines (run under -race via make check): concurrent rounds on one
+// table serialize on it, so every caller must get the same ranking.
+func TestRankConcurrentCallers(t *testing.T) {
+	svc := bigService(t)
+	sel := bigSelector(t)
+	want, err := sel.Rank(svc, "pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := sel.Rank(svc, "pts")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(got) != len(want) {
+				t.Errorf("concurrent Rank returned %d candidates, want %d", len(got), len(want))
+				return
+			}
+			for i := range got {
+				if got[i].Prediction != want[i].Prediction || got[i].Config != want[i].Config {
+					t.Errorf("concurrent Rank diverged at %d", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkSelectorRank measures ranking the 48-pair grid through a
+// Selector.
+func BenchmarkSelectorRank(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		svc := bigService(b)
+		sel := bigSelector(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sel.Rank(svc, "pts"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

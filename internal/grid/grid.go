@@ -137,11 +137,6 @@ type Selector struct {
 	// Variant selects the prediction model; the paper's most accurate is
 	// GlobalReduction.
 	Variant core.Variant
-	// Parallel bounds the workers evaluating candidate predictions
-	// concurrently (Predictor.Predict is pure, so candidates are
-	// independent). Values < 1 select GOMAXPROCS; 1 forces strictly
-	// serial evaluation. The ranking is identical either way.
-	Parallel int
 
 	engOnce sync.Once
 	eng     *RankEngine
@@ -152,11 +147,6 @@ func (s *Selector) Engine() *RankEngine {
 	s.engOnce.Do(func() { s.eng = NewRankEngine() })
 	return s.eng
 }
-
-// minParallelRank is the candidate count below which Rank stays serial:
-// a prediction is microseconds of arithmetic, so goroutine fan-out only
-// pays for itself on larger (replica, offer) grids.
-const minParallelRank = 16
 
 // ErrNoCandidates is returned when no (replica, offer) pair is feasible.
 var ErrNoCandidates = errors.New("grid: no feasible (replica, configuration) pair")
@@ -186,7 +176,7 @@ func (s *Selector) RankCtx(ctx context.Context, svc *Service, dataset string) ([
 	if pred == nil {
 		return nil, errors.New("grid: selector without predictor")
 	}
-	return s.Engine().Rank(ctx, svc, dataset, pred, s.Variant, s.Parallel)
+	return s.Engine().Rank(ctx, svc, dataset, pred, s.Variant, 1)
 }
 
 // rankSerial is the reference implementation Rank is pinned against: a

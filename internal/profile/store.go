@@ -11,11 +11,11 @@ import (
 	"freerideg/internal/core"
 )
 
-// Document is the persisted form of a store: the plain core profile
-// document plus the subsystem's versioning state. Because the extra
-// fields are additive, a Document file is still readable by
-// core.ReadStore (which ignores unknown keys), and a plain
-// core.ProfileStore file loads as a Document at version 1.
+// Document is the persisted form of a store, and the one format of the
+// profile file: the plain core profile document plus the subsystem's
+// versioning state. The extra fields are additive, so a plain
+// core.ProfileStore file (no version keys) loads as a Document at
+// version 1.
 type Document struct {
 	core.ProfileStore
 	// Version is the store-wide monotonic content version.

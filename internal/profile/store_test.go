@@ -354,15 +354,6 @@ func TestFileBackedPersistenceSurvivesReload(t *testing.T) {
 	if want := snap.Doc().Profiles[0]; rp != want {
 		t.Fatalf("reopened profile differs:\n got %+v\nwant %+v", rp, want)
 	}
-
-	// And the file is still readable as a plain core document.
-	plain, err := core.LoadStore(path)
-	if err != nil {
-		t.Fatalf("core.LoadStore on a profile.Document file: %v", err)
-	}
-	if len(plain.Profiles) != 1 || plain.Profiles[0].App != "kmeans" {
-		t.Fatalf("plain load content: %+v", plain)
-	}
 }
 
 func TestReloadKeepsVersionsMonotonic(t *testing.T) {
@@ -519,7 +510,11 @@ func TestSaveAsFailureLeavesNoTrace(t *testing.T) {
 func TestOpenPlainCoreStoreFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "plain.json")
-	if err := core.SaveStore(path, staleDoc()); err != nil {
+	data, err := json.Marshal(staleDoc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(path, Options{})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -156,23 +155,6 @@ func (p FaultPlan) String() string {
 		entries[i] = f.String()
 	}
 	return strings.Join(entries, "; ")
-}
-
-// CrashedNodes returns the distinct compute nodes the plan crashes, in
-// ascending order.
-func (p FaultPlan) CrashedNodes() []int {
-	seen := make(map[int]bool)
-	for _, f := range p.Faults {
-		if f.Kind == FaultCrash {
-			seen[f.Node] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // ParseFaultPlan parses the text fault-plan syntax:

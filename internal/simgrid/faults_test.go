@@ -102,16 +102,20 @@ func TestGenerateFaultPlanAlwaysValidAndSurvivable(t *testing.T) {
 			if err := plan.Validate(); err != nil {
 				t.Fatalf("seed %d c=%d: invalid plan: %v", seed, c, err)
 			}
-			if got := len(plan.CrashedNodes()); got >= c {
-				t.Fatalf("seed %d: plan crashes %d of %d compute nodes", seed, got, c)
-			}
+			crashed := make(map[int]bool)
 			for _, f := range plan.Faults {
-				if f.Kind == FaultCrash && f.Node >= c {
-					t.Fatalf("seed %d: crash targets node %d of %d", seed, f.Node, c)
+				if f.Kind == FaultCrash {
+					crashed[f.Node] = true
+					if f.Node >= c {
+						t.Fatalf("seed %d: crash targets node %d of %d", seed, f.Node, c)
+					}
 				}
 				if f.Kind != FaultCrash && f.Node >= 2 {
 					t.Fatalf("seed %d: storage fault targets node %d of 2", seed, f.Node)
 				}
+			}
+			if len(crashed) >= c {
+				t.Fatalf("seed %d: plan crashes %d of %d compute nodes", seed, len(crashed), c)
 			}
 		}
 	}

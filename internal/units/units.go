@@ -39,9 +39,6 @@ func (b Bytes) String() string {
 	return fmt.Sprintf("%dB", int64(b))
 }
 
-// Float returns the volume as a float64 number of bytes.
-func (b Bytes) Float() float64 { return float64(b) }
-
 // ParseBytes parses strings such as "512", "64KB", "1.4GB", "710MB".
 // Unit suffixes are case-insensitive and binary (1KB = 1024B).
 func ParseBytes(s string) (Bytes, error) {

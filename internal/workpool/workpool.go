@@ -2,23 +2,23 @@
 // fanning an indexed batch of independent tasks across goroutines
 // without per-call goroutine and channel setup.
 //
-// The design goal is the serve hot path: ranking rounds and batch
-// endpoints fan out small units of pure arithmetic thousands of times a
-// second, so spawning a fresh goroutine pool per call (the previous
-// grid.Selector.Rank shape) costs more than the work itself. A Pool
-// instead keeps its workers parked on one channel for the process
-// lifetime and hands them batches:
+// The serve plane's batch endpoints (/predict/batch and /select/batch)
+// are the pool's one production caller: each request fans its items
+// out once, and no item fans out again, so batches never nest. A Pool
+// keeps its workers parked on one channel for the process lifetime and
+// hands them batches:
 //
 //   - Run never blocks waiting for a free worker to start. The
 //     submitting goroutine always participates in its own batch, and
 //     helper workers are recruited with non-blocking sends — if every
-//     worker is busy, the submitter works through the batch alone. But
-//     a recruiting token that fits in the channel's buffer counts as a
-//     helper at once, and the batch then waits for it to be taken, so
-//     nested Run calls (a batch item that itself fans out a ranking
-//     round) can deadlock when every worker is parked inside an inner
-//     batch. ROADMAP.md's item "A nested workpool.Run can deadlock"
-//     records the hazard and a measured fix.
+//     worker is busy, the submitter works through the batch alone.
+//   - A nested Run can still deadlock. A recruiting token that fits in
+//     the channel's buffer counts as a helper at once, and the batch
+//     then waits for it to be taken, so a batch item that itself calls
+//     Run on the same pool can hang once every worker is parked inside
+//     an inner batch. Under the race detector,
+//     go test -race -run TestNestedRunDoesNotDeadlock -count=3000 -cpu 2
+//     hangs on it.
 //   - Work is claimed by atomic index increments on the shared batch,
 //     so tasks need no per-task allocation and workers load-balance at
 //     task granularity.

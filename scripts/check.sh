@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh — the repository's fast correctness gate: formatting, vet, a
-# module-wide race-detector run (the fault-injected goroutine backend
+# package layering guard, a module-wide race-detector run (the fault-injected goroutine backend
 # exercises real concurrency well beyond the middleware package), a
 # fuzz seed-corpus regression pass (every Fuzz* target replayed against
 # its checked-in corpus, no new fuzzing), the fgrun -local fault smoke,
@@ -18,6 +18,25 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+
+# Layering guard: ranking is serial, so grid must not reach for the
+# worker pool; the profile file format lives in profile alone, so core
+# must import no file or JSON code.
+layering() {
+    pkg=$1
+    shift
+    imports=" $(go list -f '{{join .Imports " "}}' "$pkg") "
+    for banned in "$@"; do
+        case "$imports" in
+        *" $banned "*)
+            echo "layering: $pkg must not import $banned" >&2
+            exit 1
+            ;;
+        esac
+    done
+}
+layering ./internal/grid freerideg/internal/workpool
+layering ./internal/core os io encoding/json
 
 # -shuffle=on randomizes test and subtest order so hidden inter-test
 # state dependencies surface instead of calcifying. The root package's
